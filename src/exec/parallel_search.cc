@@ -96,18 +96,14 @@ class Engine {
         // A finite initial_bound pre-tightens the shared word; +inf packs to
         // +inf (its low 16 bits are zero), i.e. the unseeded behavior.
         incumbent_(PackCostCeiling(options.initial_bound)) {
-    // cache_shards is a deprecated no-op except for its historical "0
-    // disables memoization" meaning, which scripts rely on.
-    if (options.cache_shards != 0) {
-      StateStoreOptions store_options;
-      store_options.capacity =
-          options.store_capacity > 0
-              ? options.store_capacity
-              : AutoStoreCapacity(problem.SubtreeSizeHint(problem.Root()));
-      store_options.arena_bytes = options.store_arena_bytes;
-      store_options.max_cas_retries = options.store_max_cas_retries;
-      store_ = std::make_unique<ConcurrentStateStore>(problem, store_options);
-    }
+    StateStoreOptions store_options;
+    store_options.capacity =
+        options.store_capacity > 0
+            ? options.store_capacity
+            : AutoStoreCapacity(problem.SubtreeSizeHint(problem.Root()));
+    store_options.arena_bytes = options.store_arena_bytes;
+    store_options.max_cas_retries = options.store_max_cas_retries;
+    store_ = std::make_unique<ConcurrentStateStore>(problem, store_options);
     best_path_.reserve(kPathReserve);
   }
 
@@ -181,17 +177,15 @@ class Engine {
     result.stats.nodes_expanded = expanded_.load(std::memory_order_relaxed);
     result.stats.paths_completed = completed_.load(std::memory_order_relaxed);
     result.stats.bound_pruned = bound_pruned_.load(std::memory_order_relaxed);
-    if (store_ != nullptr) {
-      const StateStoreCounters counters = store_->Counters();
-      result.stats.cache_hits = counters.hits;
-      // Every survivor of the dominance check was recorded, so inserts =
-      // misses; `dominated` counts the entries those inserts replaced.
-      result.stats.cache_misses = counters.inserts;
-      result.stats.cache_evictions = counters.dominated;
-      result.stats.cache_dropped = counters.evictions;
-      result.stats.cache_cas_retries = counters.cas_retries;
-      result.stats.cache_entries = counters.entries;
-    }
+    const StateStoreCounters counters = store_->Counters();
+    result.stats.cache_hits = counters.hits;
+    // Every survivor of the dominance check was recorded, so inserts =
+    // misses; `dominated` counts the entries those inserts replaced.
+    result.stats.cache_misses = counters.inserts;
+    result.stats.cache_evictions = counters.dominated;
+    result.stats.cache_dropped = counters.evictions;
+    result.stats.cache_cas_retries = counters.cas_retries;
+    result.stats.cache_entries = counters.entries;
     result.stats.incumbent_updates =
         incumbent_updates_.load(std::memory_order_relaxed);
     result.stats.threads_used = num_threads_;
@@ -267,9 +261,7 @@ class Engine {
       bound_pruned_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (store_ != nullptr && store_->CheckDominatedOrInsert(state, *prefix)) {
-      return;
-    }
+    if (store_->CheckDominatedOrInsert(state, *prefix)) return;
 
     std::vector<uint64_t>& subsets = *LevelScratch(level);
     problem_.Expand(state, &subsets);
@@ -484,11 +476,6 @@ Result<ParallelSearchResult> RunParallelSearch(
     const BnbProblem& problem, const ParallelSearchOptions& options) {
   if (options.num_threads < 0) {
     return InvalidArgumentError("num_threads must be >= 0 (0 = hardware)");
-  }
-  if (options.cache_shards < 0) {
-    return InvalidArgumentError(
-        "cache_shards must be >= 0 (0 = no memoization; positive values are "
-        "a deprecated no-op)");
   }
   if (options.batch_factor < 1) {
     return InvalidArgumentError("batch_factor must be >= 1");

@@ -6,30 +6,18 @@
 #include <limits>
 #include <utility>
 
-#include "broadcast/pointers.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "obs/stream.h"
 #include "popsim/replay_rng.h"
-#include "util/check.h"
 
 namespace bcast {
 
 namespace {
 
-// Client protocol phase. The transitions in Step() are an event-driven
-// transliteration of ClientSimulator::AccessOnce — every observed slot,
-// counter bump and recovery decision happens in the same order.
-enum class Phase : uint8_t {
-  kProbe,  // reading first-channel buckets for the root pointer
-  kWalk,   // descending the pointer chain root -> target
-  kScan,   // last-resort sequential scan, channel by channel
-};
-
 // Per-client flag bits (Shard::flags).
 constexpr uint8_t kFlagDegraded = 1;      // listens through degraded_faults
 constexpr uint8_t kFlagMediumActive = 2;  // its fault model draws at all
-constexpr uint8_t kFlagProbeOk = 4;       // some probe bucket arrived intact
 
 // Auto-sharding: ~4k clients per shard keeps a shard's transient working set
 // L2-resident while leaving plenty of shards to balance across any pool.
@@ -66,36 +54,18 @@ struct PopulationSimulator::Fleet {
 // sums in shard order — all order-independent, so the totals cannot depend
 // on how shards interleave across threads.
 struct PopulationSimulator::ShardStats {
-  uint64_t buckets_lost = 0;
-  uint64_t buckets_corrupted = 0;
-  uint64_t retries = 0;
-  uint64_t cycle_restarts = 0;
-  uint64_t sequential_scans = 0;
+  AccessTallies tallies;
   uint64_t slots_processed = 0;
   int64_t last_slot = 0;
   uint64_t rng_query_draws = 0;
   uint64_t rng_fault_draws = 0;
 };
 
-// Transient struct-of-arrays state for one shard's clients, indexed by local
-// client index (global id = begin + idx). Sized ~a few thousand clients so
-// the whole working set stays cache-resident while the shard runs.
+// Transient state for one shard's clients, indexed by local client index
+// (global id = begin + idx). Sized ~a few thousand clients so the whole
+// working set stays cache-resident while the shard runs.
 struct PopulationSimulator::Shard {
-  uint64_t begin = 0;
-
-  std::vector<Phase> phase;
-  std::vector<NodeId> target;
-  std::vector<double> arrival;
-  std::vector<int64_t> probe_slot;  // successful probe slot, -1 until/if ok
-  std::vector<int64_t> anchor;      // data-wait anchor, -1 until fixed
-  std::vector<int64_t> scan_start;
-  std::vector<uint16_t> hop;
-  std::vector<uint8_t> failures;
-  std::vector<uint8_t> restarts;
-  std::vector<int16_t> last_channel;
-  std::vector<int16_t> wake_channel;  // channel of the scheduled walk read
-  std::vector<uint32_t> tuning;
-  std::vector<uint32_t> switches;
+  std::vector<ClientState> clients;
   std::vector<uint8_t> flags;
 
   // Per-client replayed fault streams (seed + cursor, not live engines) and
@@ -113,276 +83,38 @@ struct PopulationSimulator::Shard {
   // than the maximum wake distance, which is < 2 cycles).
   std::vector<std::vector<uint32_t>> ring;
   uint64_t ring_mask = 0;
+
+  // Observes (channel, slot) through client `idx`'s own medium. A client
+  // whose model is inactive makes no draws at all — exactly ClientSimulator's
+  // lossless path, so the fault streams stay untouched and draw counts match
+  // the one-client driver bit for bit.
+  BucketOutcome Observe(uint32_t idx, int channel, int64_t slot) {
+    if ((flags[idx] & kFlagMediumActive) == 0) return BucketOutcome::kOk;
+    const FaultModel& model =
+        (flags[idx] & kFlagDegraded) ? *degraded_faults : *base_faults;
+    const ChannelLossSpec& spec = model.channel(channel);
+    if (!spec.active()) return BucketOutcome::kOk;
+    FaultChannelState* state =
+        ge_channels > 0
+            ? &ge_states[idx * static_cast<uint32_t>(ge_channels) +
+                         static_cast<uint32_t>(channel)]
+            : &dummy_state;
+    return ObserveChannelSlot(spec, state, slot, &client_stream[idx]);
+  }
 };
 
 Result<PopulationSimulator> PopulationSimulator::Create(
     const IndexTree& tree, const BroadcastSchedule& schedule) {
-  // Materialization validates feasibility exactly like ClientSimulator does.
-  auto pointers = MaterializePointers(tree, schedule);
-  if (!pointers.ok()) return pointers.status();
-
-  PopulationSimulator sim(tree, /*replicated=*/false);
-  sim.num_channels_ = schedule.num_channels();
-  sim.cycle_length_ = schedule.num_slots();
-  sim.occurrences_.assign(static_cast<size_t>(tree.num_nodes()), {});
-  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
-    SlotRef ref = schedule.placement(id);
-    sim.occurrences_[static_cast<size_t>(id)].push_back(
-        {ref.slot, ref.channel});
-  }
-  sim.grid_.assign(
-      static_cast<size_t>(sim.num_channels_) *
-          static_cast<size_t>(sim.cycle_length_),
-      kInvalidNode);
-  for (int c = 0; c < sim.num_channels_; ++c) {
-    for (int s = 0; s < sim.cycle_length_; ++s) {
-      sim.grid_[static_cast<size_t>(c) * static_cast<size_t>(sim.cycle_length_) +
-                static_cast<size_t>(s)] = schedule.at(c, s);
-    }
-  }
-  sim.BuildPaths();
-  return sim;
+  auto index = AccessIndex::Create(tree, schedule);
+  if (!index.ok()) return index.status();
+  return PopulationSimulator(std::move(index).value());
 }
 
 Result<PopulationSimulator> PopulationSimulator::Create(
     const IndexTree& tree, const ReplicatedProgram& program) {
-  BCAST_RETURN_IF_ERROR(ValidateReplicatedProgram(tree, program));
-
-  PopulationSimulator sim(tree, /*replicated=*/true);
-  sim.num_channels_ = program.num_channels;
-  sim.cycle_length_ = program.cycle_length;
-  sim.grid_.assign(
-      static_cast<size_t>(sim.num_channels_) *
-          static_cast<size_t>(sim.cycle_length_),
-      kInvalidNode);
-  sim.occurrences_.assign(static_cast<size_t>(tree.num_nodes()), {});
-  // Slot-major scan keeps each occurrence list sorted by slot (the order
-  // ClientSimulator builds, which NextOccurrence's tie-breaking relies on).
-  for (int s = 0; s < sim.cycle_length_; ++s) {
-    for (int c = 0; c < sim.num_channels_; ++c) {
-      NodeId node = program.grid[static_cast<size_t>(c)][static_cast<size_t>(s)];
-      sim.grid_[static_cast<size_t>(c) * static_cast<size_t>(sim.cycle_length_) +
-                static_cast<size_t>(s)] = node;
-      if (node == kInvalidNode) continue;
-      sim.occurrences_[static_cast<size_t>(node)].push_back({s, c});
-    }
-  }
-  sim.BuildPaths();
-  return sim;
-}
-
-PopulationSimulator::PopulationSimulator(const IndexTree& tree, bool replicated)
-    : tree_(tree), replicated_(replicated) {}
-
-void PopulationSimulator::BuildPaths() {
-  paths_.assign(static_cast<size_t>(tree_.num_nodes()), {});
-  for (NodeId id = 0; id < tree_.num_nodes(); ++id) {
-    if (!tree_.is_data(id)) continue;
-    std::vector<NodeId> path = tree_.AncestorsOf(id);
-    path.push_back(id);
-    paths_[static_cast<size_t>(id)] = std::move(path);
-  }
-}
-
-PopulationSimulator::Occurrence PopulationSimulator::NextOccurrence(
-    NodeId node, int64_t time, int64_t* abs_slot) const {
-  const int64_t cycle = cycle_length_;
-  const int64_t base = (time / cycle) * cycle;
-  int64_t best = std::numeric_limits<int64_t>::max();
-  Occurrence best_occ;
-  for (const Occurrence& occ : occurrences_[static_cast<size_t>(node)]) {
-    int64_t abs = base + occ.slot;
-    if (abs < time) abs += cycle;
-    if (abs < best) {
-      best = abs;
-      best_occ = occ;
-    }
-  }
-  BCAST_CHECK(best_occ.slot >= 0)
-      << "node '" << tree_.label(node) << "' never airs";
-  *abs_slot = best;
-  return best_occ;
-}
-
-int64_t PopulationSimulator::Step(Shard* shard, uint32_t idx, int64_t t,
-                                  const RecoveryOptions& recovery, Fleet* fleet,
-                                  ShardStats* stats) const {
-  const int64_t cycle = cycle_length_;
-  const uint64_t id = shard->begin + idx;
-
-  // Observes (channel, t) through this client's own medium. A client whose
-  // model is inactive makes no draws at all — exactly the `medium == nullptr`
-  // path of ClientSimulator::Run, so the fault streams stay untouched and
-  // draw counts match the reference simulator bit for bit.
-  auto observe = [&](int channel) -> BucketOutcome {
-    if ((shard->flags[idx] & kFlagMediumActive) == 0) return BucketOutcome::kOk;
-    const FaultModel& model = (shard->flags[idx] & kFlagDegraded)
-                                  ? *shard->degraded_faults
-                                  : *shard->base_faults;
-    const ChannelLossSpec& spec = model.channel(channel);
-    if (!spec.active()) return BucketOutcome::kOk;
-    FaultChannelState* state =
-        shard->ge_channels > 0
-            ? &shard->ge_states[idx * static_cast<uint32_t>(shard->ge_channels) +
-                                static_cast<uint32_t>(channel)]
-            : &shard->dummy_state;
-    ReplayRng& client_stream = shard->client_stream[idx];
-    return ObserveChannelSlot(spec, state, t, &client_stream);
-  };
-  auto record_fault = [&](BucketOutcome got) {
-    if (got == BucketOutcome::kLost) {
-      ++stats->buckets_lost;
-    } else if (got == BucketOutcome::kCorrupted) {
-      ++stats->buckets_corrupted;
-    }
-  };
-
-  // Finishes the client: fixes the data-wait anchor, writes the terminal
-  // outcome into the id-ordered fleet arrays, releases the fault stream.
-  auto complete = [&](bool success, int64_t finish) -> int64_t {
-    if (success) {
-      int64_t anchor = shard->anchor[idx];
-      if (anchor < 0) {
-        // The index was never read intact (the scan delivered the data);
-        // anchor at the probe bucket's end, or at the scan start when even
-        // the probe died — the AccessOnce fallback.
-        anchor = (shard->flags[idx] & kFlagProbeOk) ? shard->probe_slot[idx] + 1
-                                                    : shard->scan_start[idx];
-      }
-      fleet->success[id] = 1;
-      fleet->probe_wait[id] =
-          static_cast<double>(anchor) - shard->arrival[idx];
-      fleet->data_wait[id] = static_cast<double>(finish - anchor);
-    }
-    fleet->tuning[id] = shard->tuning[idx];
-    fleet->switches[id] = shard->switches[idx];
-    stats->last_slot = std::max(stats->last_slot, success ? finish : t);
-    if ((shard->flags[idx] & kFlagMediumActive) != 0) {
-      stats->rng_fault_draws += shard->client_stream[idx].draw_count();
-    }
-    return -1;
-  };
-
-  // Enters the sequential scan (recovery rung 3) at the cycle start after
-  // the last observed slot `t`. Returns the first scan wake, or terminates
-  // the client when the scan budget is zero.
-  auto enter_scan = [&]() -> int64_t {
-    ++stats->sequential_scans;
-    shard->scan_start[idx] = NextCycleStart(t + 1);
-    if (recovery.max_scan_passes <= 0) return complete(false, -1);
-    shard->phase[idx] = Phase::kScan;
-    return shard->scan_start[idx];
-  };
-
-  // Schedules the read of pointer-chain hop `hop` at or after `from`.
-  auto schedule_hop = [&](int64_t from) -> int64_t {
-    NodeId node =
-        paths_[static_cast<size_t>(shard->target[idx])][shard->hop[idx]];
-    int64_t abs = 0;
-    Occurrence occ = NextOccurrence(node, from, &abs);
-    shard->wake_channel[idx] = static_cast<int16_t>(occ.channel);
-    return abs;
-  };
-
-  switch (shard->phase[idx]) {
-    case Phase::kProbe: {
-      const int64_t probe_start = static_cast<int64_t>(shard->arrival[idx]);
-      if (t > probe_start) ++stats->retries;
-      ++shard->tuning[idx];
-      BucketOutcome got = observe(0);
-      if (got == BucketOutcome::kOk) {
-        shard->flags[idx] |= kFlagProbeOk;
-        shard->probe_slot[idx] = t;
-        int64_t resume;
-        if (replicated_) {
-          // The probe bucket points at the next root occurrence directly;
-          // the anchor is fixed at the first successful root read.
-          resume = t + 1;
-        } else {
-          resume = (t / cycle + 1) * cycle;
-          shard->anchor[idx] = resume;
-        }
-        shard->phase[idx] = Phase::kWalk;
-        shard->hop[idx] = 0;
-        shard->failures[idx] = 0;
-        return schedule_hop(resume);
-      }
-      record_fault(got);
-      const int64_t probe_limit =
-          probe_start +
-          (static_cast<int64_t>(recovery.max_cycle_restarts) + 1) * cycle;
-      if (t + 1 > probe_limit) {
-        // Probe budget dead: skip the index, degrade straight to the scan.
-        return enter_scan();
-      }
-      return t + 1;
-    }
-
-    case Phase::kWalk: {
-      const int channel = shard->wake_channel[idx];
-      ++shard->tuning[idx];
-      if (channel != shard->last_channel[idx]) {
-        ++shard->switches[idx];
-        shard->last_channel[idx] = static_cast<int16_t>(channel);
-      }
-      BucketOutcome got = observe(channel);
-      if (got == BucketOutcome::kOk) {
-        const int64_t resume = t + 1;
-        if (replicated_ && shard->hop[idx] == 0 && shard->anchor[idx] < 0) {
-          shard->anchor[idx] = resume;
-        }
-        ++shard->hop[idx];
-        const auto& path = paths_[static_cast<size_t>(shard->target[idx])];
-        if (shard->hop[idx] == path.size()) return complete(true, resume);
-        shard->failures[idx] = 0;
-        return schedule_hop(resume);
-      }
-      record_fault(got);
-      ++shard->failures[idx];
-      if (shard->failures[idx] <= recovery.max_retries_per_hop) {
-        // Rung 1: re-read this hop at the node's next occurrence (an earlier
-        // replica under a replicated program, else the same slot next cycle).
-        ++stats->retries;
-        return schedule_hop(t + 1);
-      }
-      if (shard->restarts[idx] <
-          static_cast<uint8_t>(recovery.max_cycle_restarts)) {
-        // Rung 2: the chain is broken; doze to the next cycle start and
-        // restart the descent from the root.
-        ++shard->restarts[idx];
-        ++stats->cycle_restarts;
-        shard->hop[idx] = 0;
-        shard->failures[idx] = 0;
-        return schedule_hop(NextCycleStart(t + 1));
-      }
-      return enter_scan();  // rung 3: pointers exhausted
-    }
-
-    case Phase::kScan: {
-      const int64_t rel = t - shard->scan_start[idx];
-      const int channel =
-          static_cast<int>((rel / cycle) % static_cast<int64_t>(num_channels_));
-      if (rel % cycle == 0 && channel != shard->last_channel[idx]) {
-        ++shard->switches[idx];
-        shard->last_channel[idx] = static_cast<int16_t>(channel);
-      }
-      ++shard->tuning[idx];
-      BucketOutcome got = observe(channel);
-      if (got == BucketOutcome::kOk &&
-          grid_[static_cast<size_t>(channel) * static_cast<size_t>(cycle) +
-                static_cast<size_t>(t % cycle)] == shard->target[idx]) {
-        return complete(true, t + 1);
-      }
-      record_fault(got);
-      const int64_t scan_slots =
-          static_cast<int64_t>(recovery.max_scan_passes) * num_channels_ *
-          cycle;
-      if (rel + 1 >= scan_slots) return complete(false, -1);
-      return t + 1;
-    }
-  }
-  BCAST_CHECK(false) << "unreachable client phase";
-  return -1;
+  auto index = AccessIndex::Create(tree, program);
+  if (!index.ok()) return index.status();
+  return PopulationSimulator(std::move(index).value());
 }
 
 void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
@@ -404,28 +136,15 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
   };
 
   Shard shard;
-  shard.begin = begin;
   shard.base_faults = &options.faults;
   shard.degraded_faults = &options.degraded_faults;
-  shard.phase.assign(n, Phase::kProbe);
-  shard.target.assign(n, kInvalidNode);
-  shard.arrival.assign(n, 0.0);
-  shard.probe_slot.assign(n, -1);
-  shard.anchor.assign(n, -1);
-  shard.scan_start.assign(n, -1);
-  shard.hop.assign(n, 0);
-  shard.failures.assign(n, 0);
-  shard.restarts.assign(n, 0);
-  shard.last_channel.assign(n, 0);  // every client starts on channel 0
-  shard.wake_channel.assign(n, 0);
-  shard.tuning.assign(n, 0);
-  shard.switches.assign(n, 0);
+  shard.clients.resize(n);
   shard.flags.assign(n, 0);
   if (base_active || degraded_active) {
     shard.client_stream.resize(n);
     if (has_ge(options.faults) || has_ge(options.degraded_faults)) {
-      shard.ge_channels = num_channels_;
-      shard.ge_states.assign(n * static_cast<uint64_t>(num_channels_), {});
+      shard.ge_channels = index_.num_channels();
+      shard.ge_states.assign(n * static_cast<uint64_t>(shard.ge_channels), {});
     }
   }
 
@@ -438,10 +157,9 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
     const uint64_t id = begin + idx;
     Rng client_rng = base.Substream(RngStream::kClient, id);
     PopulationSampler::ClientDraw draw =
-        sampler.DrawClient(id, &client_rng, cycle_length_);
+        sampler.DrawClient(id, &client_rng, index_.cycle_length());
     stats->rng_query_draws += client_rng.draw_count();
-    shard.target[idx] = draw.target;
-    shard.arrival[idx] = draw.arrival;
+    shard.clients[idx] = ClientState::Start(draw.target, draw.arrival);
     const bool active = draw.degraded ? degraded_active : base_active;
     if (draw.degraded) shard.flags[idx] |= kFlagDegraded;
     if (active) {
@@ -451,7 +169,7 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
       shard.client_stream[idx].Reset(
           client_rng.SubstreamSeed(RngStream::kFault));
     }
-    admissions.emplace_back(static_cast<int64_t>(draw.arrival), idx);
+    admissions.emplace_back(shard.clients[idx].FirstWake(), idx);
   }
   std::sort(admissions.begin(), admissions.end());
 
@@ -459,7 +177,7 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
   // next cycle start + at most one cycle to the next occurrence), so a
   // power-of-two ring > 2 cycles can never wrap onto a pending wake.
   const uint64_t ring_size =
-      std::bit_ceil(static_cast<uint64_t>(2 * cycle_length_ + 2));
+      std::bit_ceil(static_cast<uint64_t>(2 * index_.cycle_length() + 2));
   shard.ring.assign(ring_size, {});
   shard.ring_mask = ring_size - 1;
 
@@ -481,8 +199,26 @@ void PopulationSimulator::RunShard(uint64_t begin, uint64_t end,
       ++admitted;
     }
     for (uint32_t idx : waking) {
-      int64_t next = Step(&shard, idx, t, options.recovery, fleet, stats);
+      ClientState& client = shard.clients[idx];
+      auto observe = [&shard, idx](int channel, int64_t slot) {
+        return shard.Observe(idx, channel, slot);
+      };
+      int64_t next =
+          Step(index_, &client, t, observe, options.recovery, &stats->tallies);
       if (next < 0) {
+        // Terminal: record the outcome in the id-ordered fleet arrays.
+        const uint64_t id = begin + idx;
+        const ClientOutcome out = OutcomeOf(client);
+        fleet->success[id] = out.success ? 1 : 0;
+        fleet->probe_wait[id] = out.probe_wait;
+        fleet->data_wait[id] = out.data_wait;
+        fleet->tuning[id] = out.tuning;
+        fleet->switches[id] = out.switches;
+        stats->last_slot =
+            std::max(stats->last_slot, out.success ? client.finish : t);
+        if ((shard.flags[idx] & kFlagMediumActive) != 0) {
+          stats->rng_fault_draws += shard.client_stream[idx].draw_count();
+        }
         --alive;
       } else {
         // Same recycled-bucket argument as the admission push above.
@@ -505,7 +241,7 @@ Result<PopReport> PopulationSimulator::Run(
   // the fin record ("error") and flushes the sink via this guard.
   obs::TelemetryFinishGuard telemetry_guard(options.telemetry);
 
-  auto sampler = PopulationSampler::Create(tree_, options.population);
+  auto sampler = PopulationSampler::Create(index_.tree(), options.population);
   if (!sampler.ok()) return sampler.status();
   if (options.num_threads < 0) {
     return InvalidArgumentError("num_threads must be >= 0");
@@ -570,11 +306,11 @@ Result<PopReport> PopulationSimulator::Run(
   report.shards_used = static_cast<int>(shards);
   report.threads_used = threads <= 1 || shards == 1 ? 1 : threads;
   for (const ShardStats& s : stats) {
-    report.buckets_lost += s.buckets_lost;
-    report.buckets_corrupted += s.buckets_corrupted;
-    report.retries += s.retries;
-    report.cycle_restarts += s.cycle_restarts;
-    report.sequential_scans += s.sequential_scans;
+    report.buckets_lost += s.tallies.buckets_lost;
+    report.buckets_corrupted += s.tallies.buckets_corrupted;
+    report.retries += s.tallies.retries;
+    report.cycle_restarts += s.tallies.cycle_restarts;
+    report.sequential_scans += s.tallies.sequential_scans;
     report.slots_processed += s.slots_processed;
     report.last_slot = std::max(report.last_slot, s.last_slot);
     report.rng_query_draws += s.rng_query_draws;
@@ -705,7 +441,7 @@ Result<PopReport> PopulationSimulator::Run(
           succeeded > 0 ? shard_data_sum / static_cast<double>(succeeded)
                         : nan);
       telemetry.Observe("popsim.shard.retries",
-                        static_cast<double>(stats[s].retries));
+                        static_cast<double>(stats[s].tallies.retries));
       telemetry.Observe("popsim.shard.slots_processed",
                         static_cast<double>(stats[s].slots_processed));
       telemetry.Observe("popsim.shard.rng_fault_draws",

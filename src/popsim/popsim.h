@@ -1,13 +1,12 @@
 // Population simulator: the access protocol of Section 2.1 replayed by an
 // entire client fleet at once.
 //
-// Where sim/client_sim.h walks one client start-to-finish per query, this
-// engine keeps the whole population in flight as struct-of-arrays state (per
-// client: protocol phase, pointer-chain hop, recovery rung, resume cursor,
-// listening channel, accumulators) and advances broadcast time slot by slot:
-// each slot, the clients waking in that slot's wake-list bucket observe their
-// bucket, transition, and re-enqueue at their next listening slot. Dozing
-// clients cost nothing — only listening clients are ever touched.
+// Where sim/client_sim.h steps one client start-to-finish per query, this
+// engine keeps the whole population in flight — one ClientState per client
+// plus its own fault stream — and advances broadcast time slot by slot: each
+// slot, the clients waking in that slot's wake-list bucket take one Step()
+// of the shared protocol core and re-enqueue at their next listening slot.
+// Dozing clients cost nothing — only listening clients are ever touched.
 //
 // Scale-out and determinism contract:
 //   * The fleet is split into shards (contiguous client-id ranges) that run
@@ -20,11 +19,13 @@
 //     popsim/replay_rng.h stream, bit-identical to a live Rng). No draw
 //     depends on scheduling, so every per-client outcome — and the id-ordered
 //     digest over them — is identical across shard layouts and thread counts.
-//   * The protocol semantics (probe, pointer-chain descent, and the
-//     three-stage recovery ladder: retry / cycle restart / sequential scan)
-//     replicate ClientSimulator::AccessOnce exactly. The differential test in
-//     tests/popsim_test.cc pins per-client equality, with and without faults,
-//     against a loop over ClientSimulator with identically derived seeds.
+//   * The protocol itself (probe, pointer-chain descent, and the three-rung
+//     recovery ladder: retry / cycle restart / sequential scan) is the shared
+//     core of sim/access_protocol.h; this engine is its fleet driver and
+//     ClientSimulator its one-client driver. The differential test in
+//     tests/popsim_test.cc pins per-client equality of the two drivers, with
+//     and without faults, against a loop over ClientSimulator with
+//     identically derived seeds.
 //
 // Population shape (interest mix, arrival horizon, dozing, per-client loss
 // regimes) comes from workload/population.h.
@@ -33,11 +34,13 @@
 #define BCAST_POPSIM_POPSIM_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc/replication.h"
 #include "broadcast/schedule.h"
 #include "fault/fault_model.h"
+#include "sim/access_protocol.h"
 #include "sim/client_sim.h"
 #include "tree/index_tree.h"
 #include "util/rng.h"
@@ -74,16 +77,6 @@ struct PopSimOptions {
   /// the digest are byte-identical with this on or off, for every thread and
   /// shard count.
   obs::TelemetryPipeline* telemetry = nullptr;
-};
-
-/// One client's terminal outcome. Waits are in buckets (slot times);
-/// probe_wait/data_wait are meaningful only when success is true.
-struct ClientOutcome {
-  bool success = false;
-  double probe_wait = 0.0;
-  double data_wait = 0.0;
-  uint32_t tuning = 0;
-  uint32_t switches = 0;
 };
 
 /// Population-level aggregates. Means and percentiles are over *successful*
@@ -151,28 +144,15 @@ class PopulationSimulator {
   Result<PopReport> Run(const PopSimOptions& options,
                         std::vector<ClientOutcome>* per_client = nullptr) const;
 
-  int num_channels() const { return num_channels_; }
-  int64_t cycle_length() const { return cycle_length_; }
+  int num_channels() const { return index_.num_channels(); }
+  int64_t cycle_length() const { return index_.cycle_length(); }
 
  private:
-  struct Occurrence {
-    int slot = -1;
-    int channel = 0;
-  };
   struct Fleet;       // id-ordered terminal-outcome arrays (popsim.cc)
-  struct Shard;       // one shard's transient SoA working state (popsim.cc)
+  struct Shard;       // one shard's transient working state (popsim.cc)
   struct ShardStats;  // per-shard counters (popsim.cc)
 
-  explicit PopulationSimulator(const IndexTree& tree, bool replicated);
-
-  // Precomputes the root->target pointer path of every data node.
-  void BuildPaths();
-
-  // Shared protocol geometry (mirrors ClientSimulator).
-  Occurrence NextOccurrence(NodeId node, int64_t time, int64_t* abs_slot) const;
-  int64_t NextCycleStart(int64_t time) const {
-    return ((time + cycle_length_ - 1) / cycle_length_) * cycle_length_;
-  }
+  explicit PopulationSimulator(AccessIndex index) : index_(std::move(index)) {}
 
   // Runs clients [begin, end) to completion: per-client init (keyed stream,
   // workload draw) then the calendar-ring wake-list loop over slots.
@@ -180,19 +160,7 @@ class PopulationSimulator {
                 const PopulationSampler& sampler, const Rng& base,
                 Fleet* fleet, ShardStats* stats) const;
 
-  // One client's transition at its wake slot `t`; returns the next wake slot
-  // (strictly > t) or -1 when the client reached a terminal phase.
-  int64_t Step(Shard* shard, uint32_t idx, int64_t t,
-               const RecoveryOptions& recovery, Fleet* fleet,
-               ShardStats* stats) const;
-
-  const IndexTree& tree_;
-  bool replicated_ = false;
-  int num_channels_ = 0;
-  int64_t cycle_length_ = 0;
-  std::vector<std::vector<Occurrence>> occurrences_;  // by node
-  std::vector<NodeId> grid_;  // channel-major: grid_[c * cycle + s]
-  std::vector<std::vector<NodeId>> paths_;  // root->target path, data nodes
+  AccessIndex index_;
 };
 
 }  // namespace bcast

@@ -11,20 +11,14 @@
 //
 // The medium may be faulty (SimOptions::faults): buckets are lost or
 // detectably corrupted per a FaultModel, and the client degrades gracefully
-// instead of silently failing:
-//   1. retry — an unusable bucket is re-read at the node's next broadcast
-//      occurrence (the same slot one cycle later, or an earlier replica when
-//      the program was built with index replication), up to
-//      RecoveryOptions::max_retries_per_hop failures per hop;
-//   2. backoff — a hop that exhausts its retries abandons the pointer chain,
-//      dozes to the next cycle start and restarts the descent from the root,
-//      up to max_cycle_restarts times;
-//   3. sequential scan — as a last resort the client scans the cycle channel
-//      by channel, listening to every bucket until the target arrives intact
-//      (max_scan_passes passes over all channels), trading energy for
-//      delivery.
-// A query that exhausts every fallback is reported as failed, never as an
-// optimistic wait.
+// through the retry / cycle-restart / sequential-scan ladder bounded by
+// RecoveryOptions instead of silently failing. A query that exhausts every
+// fallback is reported as failed, never as an optimistic wait.
+//
+// The protocol itself lives in sim/access_protocol.h; this simulator is its
+// one-client driver: each query steps a single ClientState to completion
+// under its own fault realization. popsim/popsim.h drives the same core for a
+// whole fleet at once.
 //
 // Determinism: query sampling and arrival times draw from the caller's Rng;
 // fault draws come from its RngStream::kFault substream. With all loss
@@ -40,23 +34,13 @@
 #include "alloc/replication.h"
 #include "broadcast/schedule.h"
 #include "fault/fault_model.h"
+#include "sim/access_protocol.h"
 #include "tree/index_tree.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "workload/query_sampler.h"
 
 namespace bcast {
-
-/// Bounds on the client's recovery ladder under a faulty medium.
-struct RecoveryOptions {
-  /// Failed reads tolerated per pointer hop before the chain is abandoned.
-  int max_retries_per_hop = 3;
-  /// Root restarts (doze to next cycle start, descend again) before the
-  /// client stops trusting the index.
-  int max_cycle_restarts = 2;
-  /// Full passes over all channels in the last-resort sequential scan.
-  int max_scan_passes = 2;
-};
 
 struct SimOptions {
   uint64_t num_queries = 100'000;
@@ -122,46 +106,10 @@ class ClientSimulator {
   SimReport Run(Rng* rng, const SimOptions& options) const;
 
  private:
-  /// One broadcast occurrence of a node within the cycle.
-  struct Occurrence {
-    int slot = -1;
-    int channel = -1;
-  };
+  explicit ClientSimulator(AccessIndex index);
 
-  /// Outcome of one simulated access.
-  struct QueryOutcome {
-    bool success = false;
-    double probe_wait = 0.0;
-    double data_wait = 0.0;
-    int tuning = 0;
-    int switches = 0;
-  };
-
-  ClientSimulator(const IndexTree& tree, bool replicated);
-
-  /// Replays one access. `medium` is null on a lossless run (no fault
-  /// draws). Fault/recovery counters accumulate into `report`.
-  QueryOutcome AccessOnce(NodeId target, double arrival, FaultProcess* medium,
-                          const RecoveryOptions& recovery,
-                          SimReport* report) const;
-
-  /// Earliest occurrence of `node` whose slot start is >= `time` under the
-  /// circular broadcast (absolute slot, channel).
-  Occurrence NextOccurrence(NodeId node, int64_t time, int64_t* abs_slot) const;
-
-  int64_t NextCycleStart(int64_t time) const;
-
-  const IndexTree& tree_;
   QuerySampler sampler_;
-  bool replicated_;
-  int num_channels_ = 0;
-  int cycle_length_ = 0;
-  /// All within-cycle occurrences per node, sorted by slot (size 1 unless the
-  /// program replicates the node).
-  std::vector<std::vector<Occurrence>> occurrences_;
-  /// grid_[channel][slot]: the on-air bucket, for the sequential-scan
-  /// fallback (kInvalidNode for empty buckets).
-  std::vector<std::vector<NodeId>> grid_;
+  AccessIndex index_;
 };
 
 }  // namespace bcast

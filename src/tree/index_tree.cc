@@ -1,6 +1,7 @@
 #include "tree/index_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.h"
@@ -48,6 +49,10 @@ Status IndexTree::Finalize() {
         return InvalidArgumentError("data node '" + n.label +
                                     "' has children; data nodes must be leaves");
       }
+      if (!std::isfinite(n.weight)) {
+        return InvalidArgumentError("data node '" + n.label +
+                                    "' has a non-finite weight");
+      }
       if (n.weight < 0.0) {
         return InvalidArgumentError("data node '" + n.label +
                                     "' has a negative weight");
@@ -61,6 +66,20 @@ Status IndexTree::Finalize() {
   }
   if (num_data_nodes_ == 0) {
     return InvalidArgumentError("index tree has no data nodes");
+  }
+  // Every cost is a weighted sum of waits divided by the total weight, so the
+  // total must be positive and the weighted sums finite: all-zero weights
+  // would divide by zero, and an overflowing sum turns every average into
+  // NaN. No wait in a plain cycle exceeds the node count, which bounds every
+  // weighted sum by total * num_nodes.
+  if (!std::isfinite(total_data_weight_ *
+                     static_cast<double>(nodes_.size()))) {
+    return InvalidArgumentError(
+        "data weights too large: weighted waits overflow a double");
+  }
+  if (total_data_weight_ <= 0.0) {
+    return InvalidArgumentError(
+        "total data weight is zero; some data node needs a positive weight");
   }
 
   // Preorder ranks, levels, subtree aggregates (iterative DFS; children are

@@ -65,8 +65,9 @@ class IndexTree {
 
   /// Validates shape and computes derived fields. Errors (not crashes) on:
   /// empty tree, index node without children, data node with children,
-  /// negative weights. A finalized tree is immutable; calling Add* afterwards
-  /// is a checked failure.
+  /// negative or non-finite weights, and a total data weight that is zero or
+  /// overflows. A finalized tree is immutable; calling Add* afterwards is a
+  /// checked failure.
   Status Finalize();
 
   bool finalized() const { return finalized_; }

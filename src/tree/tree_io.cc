@@ -36,7 +36,7 @@ void FormatNode(const IndexTree& tree, NodeId id, std::ostringstream* os) {
   *os << ')';
 }
 
-// Recursive-descent parser over a token stream.
+// Parser over the s-expression text.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -44,7 +44,7 @@ class Parser {
   Result<IndexTree> Parse() {
     SkipSpace();
     IndexTree tree;
-    BCAST_RETURN_IF_ERROR(ParseNode(&tree, kInvalidNode));
+    BCAST_RETURN_IF_ERROR(ParseNodes(&tree));
     SkipSpace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after the tree");
@@ -97,30 +97,54 @@ class Parser {
     return Status::Ok();
   }
 
-  Status ParseNode(IndexTree* tree, NodeId parent) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    if (text_[pos_] == '(') {
-      ++pos_;  // consume '('
-      SkipSpace();
+  // Parses the whole tree with an explicit stack of open index nodes, so
+  // nesting depth costs heap, not call stack.
+  Status ParseNodes(IndexTree* tree) {
+    struct OpenIndex {
+      NodeId id;
       std::string label;
-      BCAST_RETURN_IF_ERROR(ParseLabel(&label));
-      NodeId id = tree->AddIndexNode(parent, label);
-      int children = 0;
-      while (true) {
+      int children;
+    };
+    std::vector<OpenIndex> open;
+    while (true) {
+      const NodeId parent = open.empty() ? kInvalidNode : open.back().id;
+      SkipSpace();
+      if (pos_ >= text_.size()) return Error("unexpected end of input");
+      if (text_[pos_] == '(') {
+        ++pos_;  // consume '('
+        if (open.size() >= static_cast<size_t>(kMaxTreeNesting)) {
+          return Error("index nesting deeper than " +
+                       std::to_string(kMaxTreeNesting) + " levels");
+        }
+        SkipSpace();
+        std::string label;
+        BCAST_RETURN_IF_ERROR(ParseLabel(&label));
+        NodeId id = tree->AddIndexNode(parent, label);
+        if (!open.empty()) ++open.back().children;
+        open.push_back({id, std::move(label), 0});
+      } else {
+        BCAST_RETURN_IF_ERROR(ParseDataLeaf(tree, parent));
+        if (!open.empty()) ++open.back().children;
+      }
+      // Close every index node whose ')' follows; anything else is the next
+      // child of the innermost open one.
+      while (!open.empty()) {
         SkipSpace();
         if (pos_ >= text_.size()) return Error("missing ')'");
-        if (text_[pos_] == ')') {
-          ++pos_;
-          break;
+        if (text_[pos_] != ')') break;
+        ++pos_;
+        if (open.back().children == 0) {
+          return Error("index node '" + open.back().label +
+                       "' has no children");
         }
-        BCAST_RETURN_IF_ERROR(ParseNode(tree, id));
-        ++children;
+        open.pop_back();
       }
-      if (children == 0) return Error("index node '" + label + "' has no children");
-      return Status::Ok();
+      if (open.empty()) return Status::Ok();
     }
-    // Data leaf: LABEL ':' WEIGHT.
+  }
+
+  // Data leaf: LABEL ':' WEIGHT.
+  Status ParseDataLeaf(IndexTree* tree, NodeId parent) {
     std::string label;
     BCAST_RETURN_IF_ERROR(ParseLabel(&label));
     if (pos_ >= text_.size() || text_[pos_] != ':') {

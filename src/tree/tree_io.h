@@ -20,6 +20,15 @@
 
 namespace bcast {
 
+/// Deepest index nesting ParseTree accepts; deeper input fails with
+/// INVALID_ARGUMENT. The parse itself uses no call stack per level, but
+/// several tree consumers (sorting, shrinking, program formatting) recurse
+/// once per level. In a Release build a 50,000-level chain runs through
+/// `bcastctl plan --save` and `popsim` on an 8 MB stack and a 100,000-level
+/// one overflows it; the cap leaves headroom for the larger frames of debug
+/// and sanitizer builds.
+inline constexpr int kMaxTreeNesting = 20000;
+
 /// Serializes a finalized tree to the one-line s-expression format above.
 std::string FormatTree(const IndexTree& tree);
 

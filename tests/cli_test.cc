@@ -99,39 +99,63 @@ TEST(CliTest, PlanWithThreadsMatchesSingleThreadedOutput) {
   EXPECT_NE(parallel.find("average data wait : 3.77143"), std::string::npos);
 }
 
-TEST(CliTest, CacheShardsFlagIsADeprecatedNoOpWithWarning) {
-  // The flag configured the retired mutex-sharded transposition cache; the
-  // lock-free state store is unsharded. Scripts that still pass it must keep
-  // working (same plan, exit 0) and get told it does nothing.
-  std::string with_flag;
-  int code = RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                         "--strategy", "optimal", "--cache-shards", "32"},
-                        &with_flag);
-  EXPECT_EQ(code, 0) << with_flag;
-  EXPECT_NE(with_flag.find("--cache-shards is deprecated"), std::string::npos);
-  EXPECT_NE(with_flag.find("average data wait : 3.77143"), std::string::npos);
+TEST(CliTest, RemovedCacheShardsFlagIsAUsageError) {
+  // The flag configured a transposition cache that no longer exists; a
+  // script still passing it must hear about it instead of silently running.
+  for (const char* value : {"32", "0"}) {
+    std::string out;
+    EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
+                          "--strategy", "optimal", "--cache-shards", value},
+                         &out),
+              2)
+        << out;
+    EXPECT_NE(out.find("unknown flag --cache-shards"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("average data wait"), std::string::npos) << out;
+  }
+}
 
-  // The historical "0 disables the cache" spelling is accepted too.
-  std::string zero;
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--channels", "2",
-                        "--strategy", "optimal", "--cache-shards=0"},
-                       &zero),
-            0)
-      << zero;
-  EXPECT_NE(zero.find("deprecated"), std::string::npos);
+TEST(CliTest, MisspelledFlagsAreUsageErrors) {
+  std::string out;
+  EXPECT_EQ(RunCommand({"plan", "--tree", "(1 A:1 B:2)", "--bogus-flag", "3"},
+                       &out),
+            2);
+  EXPECT_NE(out.find("unknown flag --bogus-flag"), std::string::npos) << out;
 
-  // Deprecated, not unvalidated: garbage values still fail loudly.
-  std::string bad;
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--cache-shards=-1"},
-                       &bad),
-            1);
-  EXPECT_NE(bad.find("--cache-shards must be >= 0"), std::string::npos);
-  bad.clear();
-  EXPECT_EQ(RunCommand({"plan", "--tree", kExampleTree, "--cache-shards",
-                        "many"},
-                       &bad),
-            1);
-  EXPECT_NE(bad.find("expects an integer"), std::string::npos);
+  // A flag another subcommand reads is still unknown to this one.
+  out.clear();
+  EXPECT_EQ(RunCommand({"popsim", "--tree", kExampleTree, "--querys", "10"},
+                       &out),
+            2);
+  EXPECT_NE(out.find("unknown flag --querys"), std::string::npos) << out;
+  out.clear();
+  EXPECT_EQ(RunCommand({"info", "--tree", kExampleTree, "--channels", "2"},
+                       &out),
+            2);
+  EXPECT_NE(out.find("unknown flag --channels"), std::string::npos) << out;
+}
+
+TEST(CliTest, ZeroAndOverflowingWeightsAreInvalidArguments) {
+  for (const char* command : {"plan", "popsim", "info"}) {
+    for (const char* tree : {"(1 A:0 B:0)", "(1 A:1e308 B:1e308)"}) {
+      std::string out;
+      EXPECT_EQ(RunCommand({command, "--tree", tree}, &out), 1)
+          << command << " " << tree << ": " << out;
+      EXPECT_NE(out.find("INVALID_ARGUMENT"), std::string::npos) << out;
+      EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+      EXPECT_EQ(out.find(": inf"), std::string::npos) << out;
+    }
+  }
+}
+
+TEST(CliTest, DeepNestingIsAnInvalidArgument) {
+  std::string tree;
+  for (int i = 0; i < 50000; ++i) tree += "(i" + std::to_string(i) + " ";
+  tree += "A:1" + std::string(50000, ')');
+  std::string out;
+  EXPECT_EQ(RunCommand({"info", "--tree", tree}, &out), 1);
+  EXPECT_NE(out.find("INVALID_ARGUMENT"), std::string::npos) << out;
+  EXPECT_NE(out.find("nesting"), std::string::npos) << out;
 }
 
 TEST(CliTest, PlanRejectsBadSearchTuningValues) {

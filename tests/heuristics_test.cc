@@ -195,5 +195,25 @@ TEST(ShrinkingHeuristicTest, RejectsBadLimits) {
   EXPECT_FALSE(ShrinkingHeuristic(tree, 1, options).ok());
 }
 
+TEST(ShrinkingTest, PartitioningAcceptsAnAllZeroWeightSubtree) {
+  // A root subtree nobody asks for still has to be placed: solving it on its
+  // own must not trip over its zero total weight.
+  std::string text = "(r (cold";
+  for (int i = 1; i <= 20; ++i) text += " z" + std::to_string(i) + ":0";
+  text += ") (hot";
+  for (int i = 1; i <= 20; ++i) {
+    text += " p" + std::to_string(i) + ":" + std::to_string(i);
+  }
+  text += "))";
+  auto tree = ParseTree(text);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ShrinkOptions options;
+  options.exact_size_limit = 12;
+  options.strategy = ShrinkOptions::Strategy::kTreePartitioning;
+  auto result = ShrinkingHeuristic(*tree, 2, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(ValidateSlotSequence(*tree, 2, result->slots).ok());
+}
+
 }  // namespace
 }  // namespace bcast

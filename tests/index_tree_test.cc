@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tree/builders.h"
 
 namespace bcast {
@@ -121,6 +123,50 @@ TEST(IndexTreeTest, FinalizeRejectsAllZeroTreeOfIndexOnly) {
   tree.AddIndexNode(kInvalidNode, "r");
   Status status = tree.Finalize();
   EXPECT_FALSE(status.ok());
+}
+
+TEST(IndexTreeTest, FinalizeRejectsZeroTotalWeight) {
+  // Every cost divides by the total weight; a tree nobody asks anything of
+  // has no average wait and is an input error, not an abort downstream.
+  IndexTree tree;
+  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+  tree.AddDataNode(root, 0.0, "a");
+  tree.AddDataNode(root, 0.0, "b");
+  Status status = tree.Finalize();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("zero"), std::string::npos);
+}
+
+TEST(IndexTreeTest, FinalizeAcceptsSomeZeroWeights) {
+  IndexTree tree;
+  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+  tree.AddDataNode(root, 0.0, "cold");
+  tree.AddDataNode(root, 2.0, "hot");
+  ASSERT_TRUE(tree.Finalize().ok());
+  EXPECT_EQ(tree.total_data_weight(), 2.0);
+}
+
+TEST(IndexTreeTest, FinalizeRejectsNonFiniteWeights) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    IndexTree tree;
+    NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+    tree.AddDataNode(root, 1.0, "a");
+    tree.AddDataNode(root, bad, "b");
+    Status status = tree.Finalize();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("non-finite"), std::string::npos);
+  }
+}
+
+TEST(IndexTreeTest, FinalizeRejectsOverflowingTotalWeight) {
+  IndexTree tree;
+  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
+  tree.AddDataNode(root, 1e308, "a");
+  tree.AddDataNode(root, 1e308, "b");
+  Status status = tree.Finalize();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("overflow"), std::string::npos);
 }
 
 TEST(IndexTreeTest, DataRootIsAllowed) {

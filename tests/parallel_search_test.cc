@@ -127,7 +127,8 @@ TEST(ParallelSearchTest, CacheSkipsDominatedStateExactlyOnce) {
 
   ToyProblem uncached_problem;
   ParallelSearchOptions uncached_options = SequentialOptions();
-  uncached_options.cache_shards = 0;
+  // An arena smaller than any entry records nothing: no memoization.
+  uncached_options.store_arena_bytes = 8;
   auto uncached = RunParallelSearch(uncached_problem, uncached_options);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
   EXPECT_EQ(uncached_problem.ExpandCount(0x7, 0x4), 2);
@@ -183,32 +184,11 @@ TEST(ParallelSearchTest, ResultInvariantAcrossBatchFactors) {
   }
 }
 
-TEST(ParallelSearchTest, DeprecatedCacheShardsStillTogglesMemoization) {
-  // Any positive value is a no-op (the store is unsharded) — the historical
-  // 0-disables semantics is the only part scripts can still observe.
-  for (int shards : {1, 32, 4096}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ToyProblem problem;
-    ParallelSearchOptions options = SequentialOptions();
-    options.cache_shards = shards;
-    auto result = RunParallelSearch(problem, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(problem.ExpandCount(0x7, 0x4), 1);  // memoized either way
-    EXPECT_GT(result->stats.cache_entries, 0u);
-  }
-}
-
 TEST(ParallelSearchTest, RejectsNegativeOptions) {
   ToyProblem problem;
   ParallelSearchOptions options;
   options.num_threads = -1;
   auto result = RunParallelSearch(problem, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-
-  options = ParallelSearchOptions{};
-  options.cache_shards = -1;
-  result = RunParallelSearch(problem, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 

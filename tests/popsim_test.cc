@@ -18,6 +18,7 @@
 #include "fault/fault_model.h"
 #include "sim/client_sim.h"
 #include "tree/builders.h"
+#include "tree/tree_io.h"
 #include "util/rng.h"
 
 namespace bcast {
@@ -189,6 +190,57 @@ TEST(PopSimDifferentialTest, ReplicatedProgramMatchesClientSimulatorLoop) {
 
   options.faults = MustUniform(2, BernoulliSpec(0.3, 0.5));
   ExpectMatchesClientSimulatorLoop(*popsim, *reference, options);
+}
+
+// Recovery budgets past 255: the per-client failure, restart and hop counters
+// must hold any value RecoveryOptions accepts, not wrap at a byte.
+TEST(PopSimDifferentialTest, CycleRestartBudgetPast255MatchesClientSimulator) {
+  auto tree = ParseTree(
+      "(r (a A:9 B:8 C:7) (b D:6 E:5 F:4) G:3 H:2 I:1)");
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  BroadcastPlan plan = MustPlan(*tree, 2);
+  auto popsim = PopulationSimulator::Create(*tree, plan.schedule);
+  auto reference = ClientSimulator::Create(*tree, plan.schedule);
+  ASSERT_TRUE(popsim.ok()) << popsim.status().ToString();
+  ASSERT_TRUE(reference.ok());
+
+  PopSimOptions options;
+  options.population.num_clients = 2000;
+  options.seed = 256;
+  options.faults = MustUniform(2, BernoulliSpec(0.5));
+  options.recovery.max_retries_per_hop = 0;
+  options.recovery.max_cycle_restarts = 256;
+  ExpectMatchesClientSimulatorLoop(*popsim, *reference, options);
+
+  auto report = popsim->Run(options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->cycle_restarts, 0u);
+  EXPECT_EQ(report->num_succeeded, report->num_clients);
+}
+
+TEST(PopSimDifferentialTest, RetryBudgetPast255MatchesClientSimulator) {
+  IndexTree tree = MakePaperExampleTree();
+  BroadcastPlan plan = MustPlan(tree, 2);
+  auto popsim = PopulationSimulator::Create(tree, plan.schedule);
+  auto reference = ClientSimulator::Create(tree, plan.schedule);
+  ASSERT_TRUE(popsim.ok()) << popsim.status().ToString();
+  ASSERT_TRUE(reference.ok());
+
+  // Channel 0 (the probe channel) is lossless; every walk read on channel 1
+  // is lost, so a hop there burns its whole retry budget.
+  auto faults = FaultModel::Create({ChannelLossSpec{}, BernoulliSpec(1.0)});
+  ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+  PopSimOptions options;
+  options.population.num_clients = 200;
+  options.seed = 257;
+  options.faults = *faults;
+  options.recovery.max_retries_per_hop = 256;
+  ExpectMatchesClientSimulatorLoop(*popsim, *reference, options);
+
+  auto report = popsim->Run(options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->retries, 256u);
+  EXPECT_GT(report->cycle_restarts, 0u);
 }
 
 // Every field of the report that is not an execution-shape echo

@@ -255,6 +255,30 @@ class PopsimRngRuleTest(LintTreeTestCase):
                    "}\n")
         self.assertEqual(self.lint(rules=("rng-substreams",)), [])
 
+    def test_rule_covers_the_access_protocol_core(self):
+        # The shared Step() runs inside popsim's per-slot loop, so the core
+        # file is held to the same discipline; other src/sim/ files are not.
+        self.write("src/sim/access_protocol.h",
+                   "// bcast: hot\n"
+                   "template <typename Observe>\n"
+                   "int64_t Step(ReplayRng& pool_rng) {\n"
+                   "  double u = pool_rng.UniformDouble();\n"
+                   "  Rng shared = base.Substream(RngStream::kFault);\n"
+                   "}\n")
+        self.write("src/sim/client_sim.cc",
+                   "// bcast: hot\n"
+                   "void Run(ReplayRng& pool_rng) {\n"
+                   "  double u = pool_rng.UniformDouble();\n"
+                   "}\n")
+        findings = self.lint(rules=("rng-substreams",))
+        self.assertEqual(
+            sorted((f.path, f.line) for f in findings),
+            [("src/sim/access_protocol.h", 4), ("src/sim/access_protocol.h", 5)])
+        self.assertTrue(any("shared-stream draw" in f.message
+                            for f in findings))
+        self.assertTrue(any("unkeyed Substream" in f.message
+                            for f in findings))
+
     def test_suppression(self):
         self.write("src/popsim/x.cc",
                    "void f(const Rng& base) {\n"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -87,6 +89,50 @@ TEST(TreeIoTest, ErrorsIncludeOffset) {
   auto tree = ParseTree("(r a:1 b:x)");
   ASSERT_FALSE(tree.ok());
   EXPECT_NE(tree.status().message().find("offset"), std::string::npos);
+}
+
+std::string NestedChain(int levels) {
+  std::string text;
+  for (int i = 0; i < levels; ++i) text += "(i" + std::to_string(i) + " ";
+  text += "A:1";
+  text += std::string(static_cast<size_t>(levels), ')');
+  return text;
+}
+
+TEST(TreeIoTest, ParsesTheDeepestAcceptedNesting) {
+  auto tree = ParseTree(NestedChain(kMaxTreeNesting));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->depth(), kMaxTreeNesting + 1);
+}
+
+TEST(TreeIoTest, RejectsNestingPastTheCapWithAStatus) {
+  // 50,000 levels used to overflow the stack of a recursive parser.
+  for (int levels : {kMaxTreeNesting + 1, 50000}) {
+    auto tree = ParseTree(NestedChain(levels));
+    ASSERT_FALSE(tree.ok()) << levels;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(tree.status().message().find("nesting"), std::string::npos);
+  }
+}
+
+TEST(TreeIoTest, RejectsZeroAndOverflowingTotalWeights) {
+  auto zero = ParseTree("(1 A:0 B:0)");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(zero.status().message().find("zero"), std::string::npos);
+
+  auto overflow = ParseTree("(1 A:1e308 B:1e308)");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("overflow"), std::string::npos);
+
+  auto infinite = ParseTree("(1 A:1 B:1e400)");
+  ASSERT_FALSE(infinite.ok());
+  EXPECT_EQ(infinite.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(infinite.status().message().find("non-finite"),
+            std::string::npos);
+
+  EXPECT_TRUE(ParseTree("(1 A:0 B:1)").ok());
 }
 
 }  // namespace

@@ -76,14 +76,6 @@ TEST(QuerySamplerTest, SamplesProportionallyToWeights) {
   }
 }
 
-TEST(QuerySamplerDeathTest, RejectsZeroTotalWeight) {
-  IndexTree tree;
-  NodeId root = tree.AddIndexNode(kInvalidNode, "r");
-  tree.AddDataNode(root, 0.0, "z");
-  ASSERT_TRUE(tree.Finalize().ok());
-  EXPECT_DEATH(QuerySampler sampler(tree), "positive total weight");
-}
-
 // --- RNG ----------------------------------------------------------------------
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include <chrono>
@@ -35,7 +37,6 @@ constexpr char kUsage[] =
     "                 preorder|greedy-weight] [--threads N] [--simulate N]\n"
     "                [--bound paper-next-slot|packed]\n"
     "                [--seed-incumbent none|heuristic|previous]\n"
-    "                [--cache-shards N]   (deprecated no-op; warns)\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade off|anytime|heuristic]\n"
     "                [--save <path>]\n"
@@ -93,7 +94,8 @@ constexpr char kUsage[] =
     "                         e.g. 'delivery:sim.delivery_rate>=0.99@0.9/20'\n"
     "                         (grammar: NAME:SERIES<=|>=THRESH[@TARGET][/WIN])\n"
     "\n"
-    "exit codes: 0 ok, 1 error, 2 usage, 3 ok but the planner degraded\n"
+    "exit codes: 0 ok, 1 error, 2 usage (including any flag the subcommand\n"
+    "does not read), 3 ok but the planner degraded\n"
     "(budget/deadline fired; an anytime, heuristic or stale plan was served)\n";
 
 // Parsed flag/value pairs; accepts both "--flag value" and "--flag=value".
@@ -145,6 +147,16 @@ class FlagMap {
                                   *value + "'");
     }
     return static_cast<int>(parsed);
+  }
+
+  // Errors on the first given flag that is not in `known`.
+  Status CheckKnown(const std::set<std::string>& known) const {
+    for (const auto& [name, value] : values_) {
+      if (known.count(name) == 0) {
+        return InvalidArgumentError("unknown flag --" + name);
+      }
+    }
+    return Status::Ok();
   }
 
   Result<double> GetDouble(const std::string& name, double default_value) const {
@@ -204,22 +216,8 @@ Result<int> LoadThreads(const FlagMap& flags) {
 // --bound / --seed-incumbent: tuning knobs for the exact topological-tree
 // search. Both leave the planned allocation byte-identical (the bound kinds
 // are both admissible; seeding is a strict upper bound) — they only change
-// how much of the tree the search explores. --cache-shards is a deprecated
-// no-op (the sharded transposition cache became the unsharded lock-free
-// state store): still validated and accepted so existing scripts keep
-// working, but it only earns a warning on `os`.
-Status LoadSearchTuning(const FlagMap& flags, OptimalOptions* optimal,
-                        std::ostringstream* os) {
-  if (flags.Get("cache-shards").has_value()) {
-    auto shards = flags.GetInt("cache-shards", 0);
-    if (!shards.ok()) return shards.status();
-    if (*shards < 0) {
-      return InvalidArgumentError("--cache-shards must be >= 0, got " +
-                                  std::to_string(*shards));
-    }
-    *os << "warning: --cache-shards is deprecated and ignored (the lock-free "
-           "concurrent state store is unsharded; see DESIGN.md section 17)\n";
-  }
+// how much of the tree the search explores.
+Status LoadSearchTuning(const FlagMap& flags, OptimalOptions* optimal) {
   if (auto bound = flags.Get("bound"); bound.has_value()) {
     if (*bound == "paper-next-slot") {
       optimal->bound = TopoTreeSearch::BoundKind::kPaperNextSlot;
@@ -355,7 +353,7 @@ Status CmdPlan(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
   auto threads = LoadThreads(flags);
   if (!threads.ok()) return threads.status();
   options.optimal.num_threads = *threads;
-  BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal, os));
+  BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
   BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
 
   auto plan = PlanBroadcast(*tree, options);
@@ -648,7 +646,7 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
     auto threads = LoadThreads(flags);
     if (!threads.ok()) return threads.status();
     options.optimal.num_threads = *threads;
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal, os));
+    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
     options.replication.root_copies = *copies;
     options.replication.replicate_levels = *levels;
@@ -818,7 +816,7 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
     plan_options.strategy = *strategy;
     plan_options.optimal.num_threads =
         *threads > 0 ? *threads : ThreadPool::HardwareConcurrency();
-    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal, os));
+    BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
     plan_options.replication.root_copies = *copies;
     plan_options.replication.replicate_levels = *levels;
@@ -1153,6 +1151,59 @@ Status CmdInfo(const FlagMap& flags, std::ostringstream* os) {
   return Status::Ok();
 }
 
+// The flags each subcommand reads; std::nullopt for an unknown command.
+// Anything else given is a usage error, so a misspelled or removed flag
+// fails loudly instead of being ignored.
+std::optional<std::set<std::string>> KnownFlags(const std::string& command) {
+  std::set<std::string> known = {"metrics-out", "trace-out", "telemetry-out",
+                                 "slo"};
+  auto add = [&known](std::initializer_list<const char*> names,
+                      const std::string& prefix = "") {
+    for (const char* name : names) known.insert(prefix + name);
+  };
+  const std::initializer_list<const char*> tree = {"tree", "tree-file"};
+  const std::initializer_list<const char*> planner = {
+      "channels", "strategy", "threads", "bound", "seed-incumbent",
+      "plan-budget-expansions", "plan-deadline-ms", "degrade"};
+  const std::initializer_list<const char*> client = {
+      "program", "seed", "replicate-copies", "replicate-levels", "retries",
+      "restarts", "scan-passes"};
+  const std::initializer_list<const char*> loss = {
+      "loss-model", "loss-rate", "corrupt-fraction", "ge-good-to-bad",
+      "ge-bad-to-good", "ge-loss-good", "ge-loss-bad"};
+  if (command == "plan" || command == "stats") {
+    add(tree);
+    add(planner);
+    add({"simulate", "save"});
+  } else if (command == "simulate") {
+    add(tree);
+    add(planner);
+    add(client);
+    add(loss);
+    add({"queries", "cycles", "items", "queries-per-cycle", "replan-every",
+         "estimator-decay", "drift-every"});
+  } else if (command == "popsim") {
+    add(tree);
+    add(planner);
+    add(client);
+    add(loss);
+    add(loss, "degraded-");
+    add({"shards", "clients", "interest", "zipf-theta", "horizon-cycles",
+         "doze-fraction", "doze-max-cycles", "degraded-fraction"});
+  } else if (command == "top") {
+    add({"replay", "window"});
+  } else if (command == "eval") {
+    add({"program", "simulate"});
+  } else if (command == "verify") {
+    add({"program"});
+  } else if (command == "info") {
+    add(tree);
+  } else {
+    return std::nullopt;
+  }
+  return known;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::string* out) {
@@ -1167,6 +1218,13 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
   if (!flags.ok()) {
     *out = flags.status().ToString() + "\n" + kUsage;
     return 2;
+  }
+  if (auto known = KnownFlags(args[0]); known.has_value()) {
+    Status unknown = flags->CheckKnown(*known);
+    if (!unknown.ok()) {
+      *out = unknown.ToString() + "\n" + kUsage;
+      return 2;
+    }
   }
 
   // Observability brackets the whole command: installed before dispatch so

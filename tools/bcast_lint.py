@@ -18,7 +18,9 @@ into structured, per-line static rules over ``src/``:
   rng-substreams   Every ``Rng`` constructed in src/ must be forked with
                    ``Substream(RngStream::k...)`` so logically independent
                    random processes never perturb each other. src/popsim/
-                   additionally requires client-id-keyed derivation: an
+                   and the access-protocol core it steps per slot
+                   (src/sim/access_protocol.*) additionally require
+                   client-id-keyed derivation: an
                    unkeyed ``Substream``/``SubstreamSeed`` on a non-client
                    generator, or a shared-stream draw inside a
                    ``// bcast: hot`` per-slot loop, would make one client's
@@ -283,6 +285,15 @@ _DRAW_CALL = re.compile(
     r"Bernoulli|Poisson|Zipf)\s*\(")
 
 
+# Files held to the population engine's client-keyed stream discipline: the
+# engine itself and the access-protocol core whose Step() it runs per slot.
+_ACCESS_CORE = ("src/sim/access_protocol.h", "src/sim/access_protocol.cc")
+
+
+def _client_keyed(path):
+    return _in(path, "src/popsim/") or path in _ACCESS_CORE
+
+
 def _popsim_findings(path, raw, scrubbed):
     for match in _UNKEYED_SUBSTREAM.finditer(scrubbed):
         receiver = match.group(1)
@@ -291,7 +302,8 @@ def _popsim_findings(path, raw, scrubbed):
         yield Finding(
             path, _line_of(scrubbed, match.start()), "rng-substreams",
             f"unkeyed {match.group(2)}(RngStream::k...) on '{receiver}' in "
-            "src/popsim/ — population-engine streams must derive from the "
+            "src/popsim/ or the access-protocol core — population-engine "
+            "streams must derive from the "
             "client-id-keyed generator (Substream(RngStream::kClient, id), "
             "or an unkeyed fork of a *client* rng)")
     for _, begin, end in _hot_regions(raw, scrubbed):
@@ -302,7 +314,8 @@ def _popsim_findings(path, raw, scrubbed):
             yield Finding(
                 path, _line_of(scrubbed, match.start()), "rng-substreams",
                 f"shared-stream draw '{receiver}.{match.group(2)}()' inside "
-                "a '// bcast: hot' per-slot loop in src/popsim/ — draws "
+                "a '// bcast: hot' per-slot loop in src/popsim/ or the "
+                "access-protocol core — draws "
                 "there must come from a per-client stream (receiver indexed "
                 "by client, or named *client*), or one client's results "
                 "depend on its neighbors and shard/thread invariance breaks")
@@ -321,7 +334,7 @@ def rule_rng_substreams(path, raw, scrubbed):
             f"Rng '{match.group(1)}' constructed without naming a substream "
             "— fork with Substream(RngStream::k...) so independent random "
             "processes cannot perturb each other")
-    if _in(path, "src/popsim/"):
+    if _client_keyed(path):
         yield from _popsim_findings(path, raw, scrubbed)
 
 
