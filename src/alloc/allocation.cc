@@ -36,11 +36,6 @@ void EmitSearchStats(const char* prefix, const SearchStats& stats) {
   add(".bound_cutoffs", stats.bound_cutoffs);
   add(".incumbent_updates", stats.incumbent_updates);
   add(".dominance_skips", stats.dominance_skips);
-  add(".store.hits", stats.store_hits);
-  add(".store.inserts", stats.store_inserts);
-  add(".store.dominated", stats.store_dominated);
-  add(".store.evictions", stats.store_evictions);
-  add(".store.cas_retries", stats.store_cas_retries);
   const PruneCounts& rules = stats.pruned_by_rule;
   add(".pruned.property1", rules.property1);
   add(".pruned.property2", rules.property2);

@@ -41,18 +41,6 @@ struct PruneCounts {
     return property1 + property2 + property3 + lemma3 + lemma4 + lemma5 +
            lemma6 + corollary2;
   }
-
-  PruneCounts& operator+=(const PruneCounts& other) {
-    property1 += other.property1;
-    property2 += other.property2;
-    property3 += other.property3;
-    lemma3 += other.lemma3;
-    lemma4 += other.lemma4;
-    lemma5 += other.lemma5;
-    lemma6 += other.lemma6;
-    corollary2 += other.corollary2;
-    return *this;
-  }
 };
 
 /// Instrumentation counters reported by the searches.
@@ -63,43 +51,15 @@ struct SearchStats {
   uint64_t paths_completed = 0;    // full allocations reached
   uint64_t bound_cutoffs = 0;      // subtrees cut by the Lemma 1/2 lower bound
   uint64_t incumbent_updates = 0;  // times a new best allocation was adopted
-  uint64_t dominance_skips = 0;    // best-first closed-set dominance skips
-  // Concurrent state-store accounting (parallel engine only; all zero for the
-  // sequential DFS). Mirrors exec/state_store.h StateStoreCounters: hits are
-  // visits skipped as dominated, inserts are states recorded, dominated are
-  // weaker entries replaced in place, evictions are states the store dropped
-  // without recording (capacity/arena/CAS-retry pressure — re-expanded, never
-  // wrong), cas_retries counts publication races that looped.
-  uint64_t store_hits = 0;
-  uint64_t store_inserts = 0;
-  uint64_t store_dominated = 0;
-  uint64_t store_evictions = 0;
-  uint64_t store_cas_retries = 0;
+  uint64_t dominance_skips = 0;    // states skipped by the dominance memo
   PruneCounts pruned_by_rule;      // attribution of nodes_pruned (see above)
-
-  SearchStats& operator+=(const SearchStats& other) {
-    nodes_expanded += other.nodes_expanded;
-    nodes_generated += other.nodes_generated;
-    nodes_pruned += other.nodes_pruned;
-    paths_completed += other.paths_completed;
-    bound_cutoffs += other.bound_cutoffs;
-    incumbent_updates += other.incumbent_updates;
-    dominance_skips += other.dominance_skips;
-    store_hits += other.store_hits;
-    store_inserts += other.store_inserts;
-    store_dominated += other.store_dominated;
-    store_evictions += other.store_evictions;
-    store_cas_retries += other.store_cas_retries;
-    pruned_by_rule += other.pruned_by_rule;
-    return *this;
-  }
 };
 
 /// Folds `stats` into the global metrics registry under `prefix` (e.g.
 /// "search.topo_dfs"). No-op when no registry is installed.
 void EmitSearchStats(const char* prefix, const SearchStats& stats);
 
-/// Emits the deterministic per-rule breakdown under the thread-invariant
+/// Emits the deterministic per-rule breakdown under the run-invariant
 /// "pruning." namespace. No-op when no registry is installed.
 void EmitPruningBreakdown(const SearchStats& stats);
 

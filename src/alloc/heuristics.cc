@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc/data_tree.h"
 #include "broadcast/cost.h"
@@ -49,26 +51,26 @@ std::vector<NodeId> SortedPreorder(const IndexTree& tree) {
   return order;
 }
 
-void CopySorted(const IndexTree& src, NodeId src_id, IndexTree* dst,
-                NodeId dst_parent) {
-  const TreeNode& n = src.node(src_id);
-  NodeId dst_id;
-  if (n.kind == NodeKind::kData) {
-    dst_id = dst->AddDataNode(dst_parent, n.weight, n.label);
-    return;
-  }
-  dst_id = dst->AddIndexNode(dst_parent, n.label);
-  for (NodeId child : SortedChildren(src, src_id)) {
-    CopySorted(src, child, dst, dst_id);
-  }
-}
-
 }  // namespace
 
 IndexTree SortIndexTree(const IndexTree& tree) {
   BCAST_CHECK(tree.finalized());
+  // Preorder copy with children in sorted order, driven by an explicit stack
+  // of (source node, copied parent) so any depth is safe.
   IndexTree sorted;
-  CopySorted(tree, tree.root(), &sorted, kInvalidNode);
+  std::vector<std::pair<NodeId, NodeId>> stack = {{tree.root(), kInvalidNode}};
+  while (!stack.empty()) {
+    const auto [src_id, dst_parent] = stack.back();
+    stack.pop_back();
+    const TreeNode& n = tree.node(src_id);
+    if (n.kind == NodeKind::kData) {
+      sorted.AddDataNode(dst_parent, n.weight, n.label);
+      continue;
+    }
+    const NodeId dst_id = sorted.AddIndexNode(dst_parent, n.label);
+    std::vector<NodeId> kids = SortedChildren(tree, src_id);
+    for (size_t i = kids.size(); i-- > 0;) stack.push_back({kids[i], dst_id});
+  }
   BCAST_CHECK(sorted.Finalize().ok());
   return sorted;
 }
@@ -325,21 +327,25 @@ void EmitWorkTree(const WorkTree& wt, int work_id, IndexTree* tree,
 }
 
 // Extracts the subtree rooted at `sub_root` into a standalone tree plus the
-// new-id -> original-id map (composed through `to_orig`).
+// new-id -> original-id map (composed through `to_orig`). Preorder, driven
+// by an explicit stack of (node, new parent) so any depth is safe.
 void ExtractSubtree(const IndexTree& tree, NodeId sub_root,
                     const std::vector<NodeId>& to_orig, IndexTree* out,
-                    std::vector<NodeId>* out_to_orig, NodeId parent) {
-  const TreeNode& n = tree.node(sub_root);
-  if (n.kind == NodeKind::kData) {
-    out->AddDataNode(parent, n.weight, n.label);
-    out_to_orig->push_back(to_orig[static_cast<size_t>(sub_root)]);
-    return;
-  }
-  out->AddIndexNode(parent, n.label);
-  out_to_orig->push_back(to_orig[static_cast<size_t>(sub_root)]);
-  NodeId self = static_cast<NodeId>(out_to_orig->size()) - 1;
-  for (NodeId c : n.children) {
-    ExtractSubtree(tree, c, to_orig, out, out_to_orig, self);
+                    std::vector<NodeId>* out_to_orig) {
+  std::vector<std::pair<NodeId, NodeId>> stack = {{sub_root, kInvalidNode}};
+  while (!stack.empty()) {
+    const auto [id, parent] = stack.back();
+    stack.pop_back();
+    const TreeNode& n = tree.node(id);
+    out_to_orig->push_back(to_orig[static_cast<size_t>(id)]);
+    if (n.kind == NodeKind::kData) {
+      out->AddDataNode(parent, n.weight, n.label);
+      continue;
+    }
+    const NodeId self = out->AddIndexNode(parent, n.label);
+    for (size_t i = n.children.size(); i-- > 0;) {
+      stack.push_back({n.children[i], self});
+    }
   }
 }
 
@@ -406,7 +412,7 @@ Result<std::vector<NodeId>> ShrinkSolveOrder(const IndexTree& tree,
     }
     IndexTree sub;
     std::vector<NodeId> sub_to_orig;
-    ExtractSubtree(tree, child, to_orig, &sub, &sub_to_orig, kInvalidNode);
+    ExtractSubtree(tree, child, to_orig, &sub, &sub_to_orig);
     if (tree.node(child).subtree_weight == 0.0) {
       // Nobody asks for this subtree's data, so no order of it serves its own
       // items better, and Finalize would reject it as a standalone tree (zero

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <queue>
 #include <string>
-#include <unordered_map>
 
 #include "obs/obs.h"
 #include "util/check.h"
@@ -59,6 +57,37 @@ void ForEachKSubsetMask(const NodeId* items, int n, int k, Fn emit) {
     }
     if (!advanced) return;
   }
+}
+
+// Expands a root-to-leaf compound-set path of the topological tree into a
+// slot sequence: slot 0 = {root}, slot s = the nodes of path[s-1] in
+// ascending id order.
+SlotSequence CompoundPathToSlots(NodeId root,
+                                 const std::vector<uint64_t>& path) {
+  SlotSequence slots;
+  slots.push_back({root});
+  for (uint64_t set : path) {
+    std::vector<NodeId> slot;
+    ForEachBit(set, [&](NodeId id) { slot.push_back(id); });
+    slots.push_back(std::move(slot));
+  }
+  return slots;
+}
+
+// Memo geometry: 128 cells (4 KiB) on the first call, doubled at 3/4 load,
+// capped at 2^21 cells (64 MiB) so a runaway search degrades to expanding
+// unrecorded states instead of growing without bound. The load factor keeps
+// the table, and the peak while it doubles, small on the many small searches
+// a planner runs.
+constexpr size_t kMemoInitialCells = 128;
+constexpr size_t kMemoMaxCells = size_t{1} << 21;
+
+uint64_t MemoHash(uint64_t mask, uint64_t last_set, int depth) {
+  uint64_t h = mask * 0x9E3779B97F4A7C15ull;
+  h ^= (last_set + static_cast<uint64_t>(depth)) * 0xC2B2AE3D27D4EB4Full;
+  h ^= h >> 32;
+  h *= 0xD6E8FEB86659FD93ull;
+  return h ^ (h >> 32);
 }
 
 }  // namespace
@@ -279,9 +308,9 @@ void TopoTreeSearch::GenerateNeighbors(uint64_t mask, uint64_t last_set,
   }
 
   // nodes_generated counts every formed subset, including those the Step 3
-  // rule (ii) and Step 4 filters below then eliminate, so for the
-  // sequential DFS nodes_expanded == 1 + nodes_generated - nodes_pruned -
-  // bound_cutoffs holds exactly (the differential harness asserts it).
+  // rule (ii) and Step 4 filters below then eliminate, so for the optimizer
+  // nodes_expanded == 1 + nodes_generated - nodes_pruned - bound_cutoffs -
+  // dominance_skips holds exactly (the differential harness asserts it).
   if (stats != nullptr) stats->nodes_generated += out->size();
 
   // Rule (ii): with an all-index P and k > 1, a subset must contain at
@@ -398,6 +427,9 @@ struct TopoTreeSearch::DfsContext {
   obs::Clock* clock = nullptr;
   bool stopped = false;
   double frontier_lower = std::numeric_limits<double>::infinity();
+  // Whether the dominance memo is consulted: kOptimize on the reduced tree
+  // only. The counting modes and the unpruned oracle walk every state.
+  bool memo = false;
   std::vector<uint64_t> current_path;
   std::vector<uint64_t> best_path;
   // Per-depth neighbor arenas (the search object's level_scratch_). Depth d
@@ -435,6 +467,13 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
       return Status::Ok();
     }
   }
+  // Goal states are not recorded: a later arrival at a goal key with no
+  // smaller V is already cut by the bound (its estimate is V itself).
+  if (ctx->memo && mask != full_mask_ &&
+      !MemoAdmits(mask, last_set, depth, v)) {
+    ++ctx->stats.dominance_skips;
+    return Status::Ok();
+  }
   ++ctx->stats.nodes_expanded;
   if (ctx->stats.nodes_expanded > options_.max_expansions) {
     return ResourceExhaustedError("topological-tree search exceeded " +
@@ -469,7 +508,8 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
   if (ctx->mode == DfsContext::Mode::kOptimize) {
     // Visit promising neighbors first so the incumbent tightens quickly. The
     // canonical order (not just weight-descending) pins which equal-cost
-    // optimum is found first, so the parallel engine can reproduce it.
+    // optimum is found first, and makes every memo hit a canonically later
+    // duplicate.
     std::sort(neighbors.begin(), neighbors.end(),
               [&](uint64_t a, uint64_t b) { return SubsetLess(a, b); });
   }
@@ -490,18 +530,6 @@ Status TopoTreeSearch::Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set,
     BCAST_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
-}
-
-SlotSequence CompoundPathToSlots(NodeId root,
-                                 const std::vector<uint64_t>& path) {
-  SlotSequence slots;
-  slots.push_back({root});
-  for (uint64_t set : path) {
-    std::vector<NodeId> slot;
-    ForEachBit(set, [&](NodeId id) { slot.push_back(id); });
-    slots.push_back(std::move(slot));
-  }
-  return slots;
 }
 
 Result<uint64_t> TopoTreeSearch::CountPaths(uint64_t limit) {
@@ -527,9 +555,8 @@ Result<uint64_t> TopoTreeSearch::CountTreeNodes(uint64_t limit) {
 }
 
 Result<SearchStats> TopoTreeSearch::ReducedTreeStats(uint64_t limit) {
-  // Full enumeration of the reduced tree (no bound, no incumbent), so the
-  // per-rule counts depend only on the tree and the options — in particular
-  // they are identical whatever thread count the optimizing engine used.
+  // Full enumeration of the reduced tree (no bound, no incumbent, no memo),
+  // so the per-rule counts depend only on the tree and the options.
   DfsContext ctx;
   ctx.mode = DfsContext::Mode::kCountNodes;
   ctx.limit = limit;
@@ -546,6 +573,8 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
   ctx.mode = DfsContext::Mode::kOptimize;
   ctx.seed_bound = seed_cost_v;
   ctx.levels = &level_scratch_;
+  ctx.memo = options_.prune_candidates || options_.prune_local_swap;
+  if (ctx.memo) ResetMemo();
   if (budget != nullptr && budget->active()) {
     ctx.budget = budget;
     ctx.clock =
@@ -597,124 +626,58 @@ Result<AllocationResult> TopoTreeSearch::FindOptimalDfs(
 }
 
 // ---------------------------------------------------------------------------
-// Best-first search (the paper's Section 3.1 strategy)
+// Dominance memo
 // ---------------------------------------------------------------------------
 
-Result<AllocationResult> TopoTreeSearch::FindOptimalBestFirst(
-    double seed_cost_v) {
-  struct ArenaNode {
-    uint64_t mask;
-    uint64_t last_set;
-    double v;
-    int depth;
-    int parent;  // arena index, -1 for the root
-  };
-  struct QueueEntry {
-    double e;  // E(X) = V(X) + U(X)
-    double v;
-    int arena_index;
-    bool operator>(const QueueEntry& other) const {
-      if (e != other.e) return e > other.e;
-      return v > other.v;
-    }
-  };
+void TopoTreeSearch::ResetMemo() {
+  if (memo_.empty()) memo_.resize(kMemoInitialCells);
+  memo_live_ = 0;
+  if (++memo_epoch_ == 0) {
+    // 2^32 calls on one object: re-zero once so no stale cell can match.
+    for (MemoCell& cell : memo_) cell.epoch = 0;
+    memo_epoch_ = 1;
+  }
+}
 
-  SearchStats stats;
-  std::vector<ArenaNode> arena;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> open;
-
-  NodeId root = tree_.root();
-  double v0 = tree_.is_data(root) ? tree_.weight(root) : 0.0;
-  arena.push_back({Bit(root), Bit(root), v0, 1, -1});
-  open.push({v0 + LowerBound(Bit(root), 1), v0, 0});
-
-  // Dominance: a state is skippable if an already-seen state with the same
-  // key has both depth' <= depth and v' <= v. Without pruning the neighbor
-  // set depends only on the allocated mask, so the key is the mask alone;
-  // with pruning it also depends on the previous compound node.
-  const bool pruning = options_.prune_candidates || options_.prune_local_swap;
-  struct Seen {
-    int depth;
-    double v;
-  };
-  std::unordered_map<uint64_t, std::vector<Seen>> seen;
-  auto state_key = [&](uint64_t mask, uint64_t last_set) -> uint64_t {
-    if (!pruning) return mask;
-    return mask ^ (last_set * uint64_t{0x9E3779B97F4A7C15});
-  };
-  auto dominated = [&](uint64_t key, int depth, double v) {
-    auto it = seen.find(key);
-    if (it == seen.end()) return false;
-    for (const Seen& s : it->second) {
-      if (s.depth <= depth && s.v <= v + 1e-12) return true;
-    }
-    return false;
-  };
-
-  std::vector<uint64_t> neighbors;
-  while (!open.empty()) {
-    QueueEntry top = open.top();
-    open.pop();
-    const ArenaNode node = arena[static_cast<size_t>(top.arena_index)];
-    if (node.mask == full_mask_) {
-      // First goal popped: optimal because E is a lower bound on total cost.
-      std::vector<uint64_t> path;
-      int cur = top.arena_index;
-      while (arena[static_cast<size_t>(cur)].parent != -1) {
-        path.push_back(arena[static_cast<size_t>(cur)].last_set);
-        cur = arena[static_cast<size_t>(cur)].parent;
-      }
-      std::reverse(path.begin(), path.end());
-      AllocationResult result;
-      result.slots = CompoundPathToSlots(root, path);
-      result.average_data_wait = node.v / tree_.total_data_weight();
-      result.cost_lower_bound = result.average_data_wait;
-      result.cost_upper_bound = result.average_data_wait;
-      result.stats = stats;
-      result.stats.paths_completed = 1;
-      EmitSearchStats("search.topo_best_first", result.stats);
-      BCAST_DCHECK_OK(AllocationVerifier(tree_)
-                          .VerifySlots(options_.num_channels, result.slots,
-                                       result.average_data_wait)
-                          .ToStatus());
-      return result;
-    }
-    uint64_t key = state_key(node.mask, node.last_set);
-    if (dominated(key, node.depth, node.v)) {
-      ++stats.dominance_skips;
-      continue;
-    }
-    seen[key].push_back({node.depth, node.v});
-
-    ++stats.nodes_expanded;
-    if (stats.nodes_expanded > options_.max_expansions) {
-      return ResourceExhaustedError("best-first search exceeded " +
-                                    std::to_string(options_.max_expansions) +
-                                    " expansions");
-    }
-    GenerateNeighbors(node.mask, node.last_set, &neighbors, &stats);
-    for (uint64_t subset : neighbors) {
-      uint64_t child_mask = node.mask | subset;
-      int child_depth = node.depth + 1;
-      double child_v =
-          node.v + SetDataWeight(subset) * static_cast<double>(child_depth);
-      uint64_t child_key = state_key(child_mask, subset);
-      if (dominated(child_key, child_depth, child_v)) {
-        ++stats.dominance_skips;
-        continue;
-      }
-      const double child_e = child_v + LowerBound(child_mask, child_depth);
-      if (child_e > seed_cost_v) {
-        // The seed is the cost of a known feasible allocation, so no optimum
-        // lies beyond it (strict >: equal-cost states stay in play).
-        ++stats.bound_cutoffs;
-        continue;
-      }
-      arena.push_back({child_mask, subset, child_v, child_depth, top.arena_index});
-      open.push({child_e, child_v, static_cast<int>(arena.size()) - 1});
+// bcast: hot — one probe per state the optimizer reaches.
+bool TopoTreeSearch::MemoAdmits(uint64_t mask, uint64_t last_set, int depth,
+                                double v) {
+  const uint32_t key_depth = static_cast<uint32_t>(depth);
+  size_t slot_mask = memo_.size() - 1;
+  size_t i = MemoHash(mask, last_set, depth) & slot_mask;
+  for (;; i = (i + 1) & slot_mask) {
+    MemoCell& cell = memo_[i];
+    if (cell.epoch != memo_epoch_) break;
+    if (cell.mask == mask && cell.last_set == last_set &&
+        cell.depth == key_depth) {
+      if (cell.v <= v) return false;
+      cell.v = v;
+      return true;
     }
   }
-  return InternalError("best-first search exhausted the open list");
+  if (4 * (memo_live_ + 1) > 3 * memo_.size()) {
+    if (memo_.size() >= kMemoMaxCells) return true;  // full: expand unrecorded
+    GrowMemo();
+    slot_mask = memo_.size() - 1;
+    i = MemoHash(mask, last_set, depth) & slot_mask;
+    while (memo_[i].epoch == memo_epoch_) i = (i + 1) & slot_mask;
+  }
+  memo_[i] = {mask, last_set, v, key_depth, memo_epoch_};
+  ++memo_live_;
+  return true;
+}
+
+void TopoTreeSearch::GrowMemo() {
+  std::vector<MemoCell> old(memo_.size() * 2);
+  old.swap(memo_);
+  const size_t slot_mask = memo_.size() - 1;
+  for (const MemoCell& cell : old) {
+    if (cell.epoch != memo_epoch_) continue;
+    size_t j = MemoHash(cell.mask, cell.last_set, static_cast<int>(cell.depth)) &
+               slot_mask;
+    while (memo_[j].epoch == memo_epoch_) j = (j + 1) & slot_mask;
+    memo_[j] = cell;
+  }
 }
 
 }  // namespace bcast

@@ -13,10 +13,10 @@
 //    rules (heaviest-prefix data, child-of-P requirement) and Step 4 local
 //    swap elimination (Lemmas 4/5 and the preorder-rank tie-break of
 //    Section 3.2);
-//  * two exact optimizers over the (possibly reduced) tree: depth-first
-//    branch-and-bound, and the paper's best-first search with
-//    E(X) = V(X) + U(X) (Section 3.1), where U(X) is an admissible estimate
-//    of the remaining data wait.
+//  * the exact optimizer over the (possibly reduced) tree: depth-first
+//    branch-and-bound on V(X) + U(X) (Section 3.1, Lemmas 1/2), where U(X)
+//    is an admissible estimate of the remaining data wait, with a dominance
+//    memo on the reduced tree (DESIGN.md §10).
 //
 // The search state is a bitmask of allocated nodes, so trees are limited to
 // 64 nodes — the regime the paper itself targets with the exact search
@@ -27,10 +27,10 @@
 // the data/index partition masks and the Lemma-5 preorder-rank masks are
 // precomputed once at Create(), candidate sets are derived by OR/AND-NOT over
 // them, and k-subset generation enumerates combinations directly over the
-// 64-bit candidate mask. The depth-first optimizer draws its neighbor lists
-// from a per-depth scratch arena owned by the search object, so steady-state
-// expansion performs zero heap allocations (asserted by
-// tests/alloc_free_search_test.cc).
+// 64-bit candidate mask. The depth-first walks draw their neighbor lists from
+// a per-depth scratch arena, and the optimizer its memo from an epoch-tagged
+// table, both owned by the search object, so steady-state expansion performs
+// zero heap allocations (asserted by tests/alloc_free_search_test.cc).
 
 #ifndef BCAST_ALLOC_TOPO_SEARCH_H_
 #define BCAST_ALLOC_TOPO_SEARCH_H_
@@ -46,16 +46,10 @@
 
 namespace bcast {
 
-/// Expands a root-to-leaf compound-set path of the topological tree into a
-/// slot sequence: slot 0 = {root}, slot s = the nodes of path[s-1] in
-/// ascending id order. Shared by the sequential and parallel engines so both
-/// materialize identical bytes for identical paths.
-SlotSequence CompoundPathToSlots(NodeId root, const std::vector<uint64_t>& path);
-
 /// Exact search over the k-channel topological tree.
 class TopoTreeSearch {
  public:
-  /// Lower-bound estimate U(X) used by both optimizers.
+  /// Lower-bound estimate U(X) used by the optimizer.
   enum class BoundKind {
     /// The paper's U(X): every unallocated data node lands in the very next
     /// slot. Admissible but loose.
@@ -94,12 +88,22 @@ class TopoTreeSearch {
 
   /// Full enumeration of the (possibly reduced) tree returning the complete
   /// SearchStats — in particular the per-rule PruneCounts. Unlike the
-  /// optimizers this walk never consults a bound or incumbent, so its counts
-  /// are a pure function of (tree, options): identical across runs and
-  /// thread counts. RESOURCE_EXHAUSTED beyond `limit` visited nodes.
+  /// optimizer this walk never consults a bound or incumbent, so its counts
+  /// are a pure function of (tree, options): identical across runs.
+  /// RESOURCE_EXHAUSTED beyond `limit` visited nodes.
   Result<SearchStats> ReducedTreeStats(uint64_t limit);
 
   /// Exact optimum by depth-first branch-and-bound.
+  ///
+  /// Siblings are visited in one canonical order (data weight descending,
+  /// then bitmask ascending), so the result is the first optimal path in
+  /// that order: a pure function of (tree, options). With pruning on, a
+  /// dominance memo keyed (mask, last compound set, depth) skips a state
+  /// when an earlier visit with the same key had V <= this one; the earlier
+  /// visit is canonically smaller, so the result is unchanged (DESIGN.md
+  /// §10). Skips are counted in SearchStats::dominance_skips. The memo table
+  /// is kept across calls and recycled by epoch, so a reused search object
+  /// allocates nothing once it has reached its high-water mark.
   ///
   /// `seed_cost_v` optionally seeds the incumbent with the total weighted
   /// wait V (ADW x total data weight) of a known feasible allocation — e.g.
@@ -115,55 +119,31 @@ class TopoTreeSearch {
   /// condition fires mid-search, the best incumbent so far is returned with
   /// provenance kAnytime and [cost_lower_bound, cost_upper_bound] bracketing
   /// the true optimum (the lower bound folds the admissible estimates of
-  /// every abandoned subtree). The DFS visits states in one canonical order,
-  /// so a pure expansion-count budget is fully deterministic. A budget that
+  /// every abandoned subtree). The budget is checked before the memo and
+  /// before an expansion is counted, so a pure expansion-count budget of N
+  /// expands exactly N states and is fully deterministic. A budget that
   /// fires before the first complete path yields RESOURCE_EXHAUSTED.
   Result<AllocationResult> FindOptimalDfs(
       double seed_cost_v = std::numeric_limits<double>::infinity(),
       const SearchBudget* budget = nullptr);
 
-  /// Exact optimum by the paper's best-first strategy (priority queue on
-  /// E(X) = V(X) + U(X), with dominance pruning on equal states).
-  ///
-  /// `seed_cost_v` keeps states with E > seed out of the open list (counted
-  /// as bound_cutoffs). The cost of the result is unaffected; unlike the DFS
-  /// the pop order among equal-(E, V) entries depends on the push sequence,
-  /// so *which* of several equal-cost optima is returned may differ from the
-  /// unseeded run (best-first never promised the DFS tie-break either).
-  Result<AllocationResult> FindOptimalBestFirst(
-      double seed_cost_v = std::numeric_limits<double>::infinity());
-
   // --- expansion building blocks ------------------------------------------
-  // Shared with the parallel engine (src/exec/parallel_search.h via the
-  // src/alloc/topo_parallel.h adapter) so both engines expand exactly the
-  // same reduced tree. All three are pure const reads of the finalized tree
-  // and the options — safe to call concurrently.
+  // Pure const reads of the finalized tree and the options. Public so that
+  // an independent search order (the tests' best-first oracle) can walk
+  // exactly the reduced tree the optimizer walks.
 
   /// Sum of data weights inside a compound-set bitmask.
   double SetDataWeight(uint64_t set) const;
 
   /// Generates the next-neighbor compound sets of `last_set` given the
-  /// allocated-set `mask`, applying the configured pruning. Appends submasks
-  /// to `out` in generation order (callers impose the canonical order).
+  /// allocated-set `mask`, applying the configured pruning. Replaces `out`
+  /// with the submasks in generation order (the optimizer re-sorts them).
   void GenerateNeighbors(uint64_t mask, uint64_t last_set,
                          std::vector<uint64_t>* out, SearchStats* stats) const;
 
   /// Admissible lower bound on the *additional* weighted wait of data nodes
   /// not in `mask`, if the next slot index is `depth + 1` (1-based).
   double LowerBound(uint64_t mask, int depth) const;
-
-  /// Canonical strict total order on sibling compound sets: data weight
-  /// descending, then bitmask ascending. Both exact engines visit neighbors
-  /// in this order, which makes "the first optimum found" a well-defined,
-  /// thread-count-independent allocation (the preorder tie-break of the
-  /// determinism contract).
-  bool SubsetLess(uint64_t a, uint64_t b) const;
-
-  /// Bitmask with every tree node allocated (the goal test).
-  uint64_t full_mask() const { return full_mask_; }
-
-  const Options& options() const { return options_; }
-  const IndexTree& tree() const { return tree_; }
 
  private:
   TopoTreeSearch(const IndexTree& tree, Options options);
@@ -173,10 +153,23 @@ class TopoTreeSearch {
   // children masks of the allocated nodes, minus the allocated nodes).
   uint64_t CandidateMask(uint64_t mask) const;
 
+  // Canonical strict total order on sibling compound sets: data weight
+  // descending, then bitmask ascending.
+  bool SubsetLess(uint64_t a, uint64_t b) const;
+
   // Depth-first worker shared by counting and branch-and-bound.
   struct DfsContext;
   Status Dfs(DfsContext* ctx, uint64_t mask, uint64_t last_set, int depth,
              double v);
+
+  // Dominance memo of the optimizer: false iff an earlier visit of this
+  // call recorded the same (mask, last_set, depth) with V <= v; otherwise
+  // records v and returns true.
+  bool MemoAdmits(uint64_t mask, uint64_t last_set, int depth, double v);
+  // Starts a new memo epoch: every recorded cell becomes stale at once.
+  void ResetMemo();
+  // Doubles the memo table, rehashing the current epoch's cells.
+  void GrowMemo();
 
   const IndexTree& tree_;
   Options options_;
@@ -195,10 +188,24 @@ class TopoTreeSearch {
   // Per-depth neighbor arenas for the depth-first walks (optimize and the
   // counting modes). Each depth owns one vector that grows to its high-water
   // mark on first descent and is reused ever after, so steady-state DFS
-  // expansion allocates nothing. Only the non-const entry points touch it —
-  // the const building blocks above stay safe for concurrent use by the
-  // parallel engine.
+  // expansion allocates nothing.
   std::vector<std::vector<uint64_t>> level_scratch_;
+
+  // The optimizer's dominance memo: open addressing with linear probing over
+  // a power-of-two table that starts small and doubles at 3/4 load, up to a
+  // fixed cap past which new keys are expanded without being recorded. A
+  // cell is live iff its epoch is the current one; each FindOptimalDfs call
+  // bumps the epoch instead of clearing the table.
+  struct MemoCell {
+    uint64_t mask = 0;
+    uint64_t last_set = 0;
+    double v = 0.0;
+    uint32_t depth = 0;
+    uint32_t epoch = 0;  // 0 is never current
+  };
+  std::vector<MemoCell> memo_;
+  size_t memo_live_ = 0;
+  uint32_t memo_epoch_ = 0;
 };
 
 }  // namespace bcast

@@ -101,11 +101,11 @@ struct PlanRequest {
 
 /// Plans a batch of independent broadcast cycles concurrently on a
 /// work-stealing pool (exec/thread_pool.h), one task per request.
-/// `num_threads` follows the OptimalOptions convention: 0 = hardware
-/// concurrency, 1 = plan sequentially on the calling thread. Result i is
-/// exactly what PlanBroadcast(*requests[i].tree, requests[i].options) would
-/// return — per-request errors land in the corresponding slot instead of
-/// failing the batch. Intended for replanning fleets of trees at once (see
+/// `num_threads`: 0 = hardware concurrency, 1 = plan sequentially on the
+/// calling thread. Result i is exactly what
+/// PlanBroadcast(*requests[i].tree, requests[i].options) would return —
+/// per-request errors land in the corresponding slot instead of failing the
+/// batch. Intended for replanning fleets of trees at once (see
 /// sim/server_sim.h's adaptive server).
 ///
 /// `task_hook`, when non-null, is installed as the pool's per-task hook

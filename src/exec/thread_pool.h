@@ -1,5 +1,5 @@
-// Work-stealing thread pool: the execution substrate of the parallel search
-// engine (exec/parallel_search.h) and the batch planner (core/PlanMany).
+// Work-stealing thread pool: the execution substrate of the batch planner
+// (core/PlanMany) and the population simulator's shard workers.
 //
 // Each worker owns a deque. The owner pushes and pops at the back (LIFO, so a
 // worker descends depth-first into the subtree it just split, keeping its
@@ -10,8 +10,7 @@
 //
 // The pool knows nothing about search: tasks are plain std::function<void()>.
 // Determinism therefore cannot come from the executor — callers that need
-// order-independent results (ParallelSearch) must make every task outcome
-// commutative. Destruction drains: queued tasks (including tasks submitted by
+// order-independent results must make every task outcome commutative. Destruction drains: queued tasks (including tasks submitted by
 // running tasks) all execute before the workers join.
 //
 // Failure model: a TaskGroup task that throws does not terminate the process —

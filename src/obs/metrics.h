@@ -1,7 +1,7 @@
 // Low-overhead metrics registry: monotonic counters, gauges, log2-bucket
 // histograms with streaming quantile estimates, and RAII scoped timers.
 //
-// Design for the concurrent searches (exec/parallel_search.h):
+// Design for concurrent writers (pool tasks, popsim shard workers):
 //  * Counters are *thread-sharded*: each thread that touches a registry gets
 //    a private cache-line-aligned shard of atomic cells, so hot-path
 //    increments are uncontended relaxed adds with no false sharing. Nothing

@@ -184,6 +184,10 @@ std::vector<std::vector<NodeId>> IndexTree::LevelNodes() const {
 
 std::string IndexTree::ToString() const {
   BCAST_CHECK(finalized_);
+  // Two spaces per level up to kMaxIndent levels; deeper lines keep that
+  // indent and name their depth instead, so the output stays linear in the
+  // node count however deep the tree is.
+  constexpr int kMaxIndent = 32;
   std::ostringstream os;
   struct Frame {
     NodeId id;
@@ -194,7 +198,9 @@ std::string IndexTree::ToString() const {
     Frame f = stack.back();
     stack.pop_back();
     const TreeNode& n = nodes_[f.id];
-    os << std::string(static_cast<size_t>(f.indent) * 2, ' ');
+    os << std::string(static_cast<size_t>(std::min(f.indent, kMaxIndent)) * 2,
+                      ' ');
+    if (f.indent > kMaxIndent) os << "[depth " << f.indent << "] ";
     if (n.kind == NodeKind::kIndex) {
       os << "[index " << (n.label.empty() ? std::to_string(f.id) : n.label)
          << "]";

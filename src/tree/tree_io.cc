@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -22,18 +23,31 @@ std::string FormatWeight(double weight) {
   return buf;
 }
 
-void FormatNode(const IndexTree& tree, NodeId id, std::ostringstream* os) {
-  const TreeNode& n = tree.node(id);
-  if (n.kind == NodeKind::kData) {
-    *os << n.label << ':' << FormatWeight(n.weight);
-    return;
-  }
-  *os << '(' << n.label;
-  for (NodeId child : n.children) {
+// Iterative, so a tree of any depth formats without growing the call stack:
+// the stack holds each open index node and the next child to print.
+void FormatNode(const IndexTree& tree, NodeId root, std::ostringstream* os) {
+  std::vector<std::pair<NodeId, size_t>> open;
+  auto begin = [&](NodeId id) {
+    const TreeNode& n = tree.node(id);
+    if (n.kind == NodeKind::kData) {
+      *os << n.label << ':' << FormatWeight(n.weight);
+      return;
+    }
+    *os << '(' << n.label;
+    open.push_back({id, 0});
+  };
+  begin(root);
+  while (!open.empty()) {
+    const std::vector<NodeId>& children = tree.node(open.back().first).children;
+    const size_t next = open.back().second++;
+    if (next == children.size()) {
+      *os << ')';
+      open.pop_back();
+      continue;
+    }
     *os << ' ';
-    FormatNode(tree, child, os);
+    begin(children[next]);
   }
-  *os << ')';
 }
 
 // Parser over the s-expression text.

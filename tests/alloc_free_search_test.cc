@@ -21,9 +21,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "alloc/topo_parallel.h"
 #include "alloc/topo_search.h"
-#include "exec/parallel_search.h"
 #include "tree/builders.h"
 #include "tree/index_tree.h"
 #include "util/check.h"
@@ -144,63 +142,6 @@ TEST(AllocFreeSearchTest, DfsAllocationsAreIndependentOfExpansionCount) {
       << ", tight-bound expansions: " << run_tight->stats.nodes_expanded;
   // And the fixed setup cost itself stays small: path reserves plus the
   // winning slot sequence (plus the debug-build verifier pass).
-  EXPECT_LE(allocs_tight, 256u);
-}
-
-TEST(AllocFreeSearchTest, ParallelEngineInsertPathIsAllocationFree) {
-  // Same protocol as the DFS test, applied to the parallel engine's
-  // steady-state path: expansion + concurrent-state-store insert. The engine
-  // runs in inline mode (num_threads = 1 skips the pool entirely and keeps
-  // this thread's scratch arenas warm across runs) with a pinned store
-  // geometry, so per-call setup — store cells, arena slab, path reserves,
-  // metrics emission — is a constant, and any allocation in the
-  // Visit/CheckDominatedOrInsert loop would scale with the 2x+ expansion gap
-  // and break the equality below.
-  IndexTree tree = TestTree();
-  TopoTreeSearch loose =
-      MakeSearch(tree, TopoTreeSearch::BoundKind::kPaperNextSlot);
-  TopoTreeSearch tight = MakeSearch(tree, TopoTreeSearch::BoundKind::kPacked);
-  TopoBnbProblem loose_problem(loose);
-  TopoBnbProblem tight_problem(tight);
-
-  ParallelSearchOptions options;
-  options.num_threads = 1;
-  options.spawn_depth = 0;
-  options.store_capacity = 1 << 16;      // pinned: identical construction
-  options.store_arena_bytes = 8u << 20;  // cost for both measured runs
-
-  // Warm-up: scratch arenas grow to their high-water mark, lazy obs state
-  // (histograms, counters) materializes.
-  auto warm_loose = RunParallelSearch(loose_problem, options);
-  auto warm_tight = RunParallelSearch(tight_problem, options);
-  ASSERT_TRUE(warm_loose.ok() && warm_tight.ok());
-  ASSERT_EQ(warm_loose->best_path, warm_tight->best_path);
-  ASSERT_GE(warm_loose->stats.nodes_expanded,
-            2 * warm_tight->stats.nodes_expanded);
-  // The store genuinely worked on this instance (inserts and hits both
-  // non-zero), so the equality below covers the insert path, not a no-op.
-  ASSERT_GT(warm_loose->stats.cache_misses, 0u);
-  ASSERT_GT(warm_loose->stats.cache_hits, 0u);
-  ASSERT_EQ(warm_loose->stats.cache_dropped, 0u);
-
-  const uint64_t before_loose = AllocationCount();
-  auto run_loose = RunParallelSearch(loose_problem, options);
-  const uint64_t allocs_loose = AllocationCount() - before_loose;
-
-  const uint64_t before_tight = AllocationCount();
-  auto run_tight = RunParallelSearch(tight_problem, options);
-  const uint64_t allocs_tight = AllocationCount() - before_tight;
-
-  ASSERT_TRUE(run_loose.ok() && run_tight.ok());
-  EXPECT_GE(run_loose->stats.nodes_expanded,
-            2 * run_tight->stats.nodes_expanded);
-  EXPECT_EQ(allocs_loose, allocs_tight)
-      << "loose-bound expansions: " << run_loose->stats.nodes_expanded
-      << " (store inserts " << run_loose->stats.cache_misses
-      << "), tight-bound expansions: " << run_tight->stats.nodes_expanded
-      << " (store inserts " << run_tight->stats.cache_misses << ")";
-  // The fixed per-call cost stays small: store cells + arena slab + path
-  // reserves + the metrics emission, not anything per expansion.
   EXPECT_LE(allocs_tight, 256u);
 }
 

@@ -1,11 +1,13 @@
-// Focused coverage of the best-first optimizer (the paper's §3.1 search
-// strategy): with pruning enabled its dominance key must include the last
-// compound node (neighbor generation depends on it), and both bound choices
-// must stay exact.
+// The paper's §3.1 best-first strategy (tests/best_first_oracle.h) against
+// the depth-first optimizer: with pruning enabled the oracle's dominance key
+// must include the last compound node (neighbor generation depends on it),
+// and both bound choices must stay exact.
 
 #include <gtest/gtest.h>
 
 #include "alloc/topo_search.h"
+#include "best_first_oracle.h"
+#include "random_tree_within.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 
@@ -23,8 +25,7 @@ class BestFirstPrunedTest : public ::testing::TestWithParam<Case> {};
 TEST_P(BestFirstPrunedTest, PrunedBestFirstMatchesPrunedDfs) {
   const Case& param = GetParam();
   Rng rng(param.seed);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3);
-  if (tree.num_nodes() > 13) GTEST_SKIP();
+  IndexTree tree = RandomTreeWithin(&rng, param.num_data, 3, /*max_nodes=*/13);
 
   TopoTreeSearch::Options options;
   options.num_channels = param.channels;
@@ -33,7 +34,7 @@ TEST_P(BestFirstPrunedTest, PrunedBestFirstMatchesPrunedDfs) {
   auto search = TopoTreeSearch::Create(tree, options);
   ASSERT_TRUE(search.ok());
   auto dfs = search->FindOptimalDfs();
-  auto best_first = search->FindOptimalBestFirst();
+  auto best_first = BestFirstSearch(tree, *search);
   ASSERT_TRUE(dfs.ok());
   ASSERT_TRUE(best_first.ok()) << best_first.status().ToString();
   EXPECT_NEAR(dfs->average_data_wait, best_first->average_data_wait, 1e-9)
@@ -45,8 +46,7 @@ TEST_P(BestFirstPrunedTest, PrunedBestFirstMatchesPrunedDfs) {
 TEST_P(BestFirstPrunedTest, PaperBoundBestFirstIsAlsoExact) {
   const Case& param = GetParam();
   Rng rng(param.seed ^ 0x5A5A);
-  IndexTree tree = MakeRandomTree(&rng, param.num_data, 3);
-  if (tree.num_nodes() > 12) GTEST_SKIP();
+  IndexTree tree = RandomTreeWithin(&rng, param.num_data, 3, /*max_nodes=*/12);
 
   TopoTreeSearch::Options packed;
   packed.num_channels = param.channels;
@@ -56,11 +56,14 @@ TEST_P(BestFirstPrunedTest, PaperBoundBestFirstIsAlsoExact) {
   auto b = TopoTreeSearch::Create(tree, paper);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto ra = a->FindOptimalBestFirst();
-  auto rb = b->FindOptimalBestFirst();
+  auto ra = BestFirstSearch(tree, *a);
+  auto rb = BestFirstSearch(tree, *b);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_NEAR(ra->average_data_wait, rb->average_data_wait, 1e-9);
+  auto dfs = a->FindOptimalDfs();
+  ASSERT_TRUE(dfs.ok());
+  EXPECT_NEAR(ra->average_data_wait, dfs->average_data_wait, 1e-9);
 }
 
 std::vector<Case> MakeCases() {
@@ -84,13 +87,13 @@ TEST(BestFirstTest, HonorsExpansionBudget) {
   IndexTree tree = MakeRandomTree(&rng, 8, 3);
   TopoTreeSearch::Options options;
   options.num_channels = 1;
-  options.max_expansions = 3;
   auto search = TopoTreeSearch::Create(tree, options);
   ASSERT_TRUE(search.ok());
-  auto result = search->FindOptimalBestFirst();
-  if (!result.ok()) {
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  }
+  // Eight data nodes on one channel need more than three expansions to
+  // reach a goal.
+  auto result = BestFirstSearch(tree, *search, /*max_expansions=*/3);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(BestFirstTest, ReportsSingleCompletedPath) {
@@ -99,7 +102,7 @@ TEST(BestFirstTest, ReportsSingleCompletedPath) {
   options.num_channels = 2;
   auto search = TopoTreeSearch::Create(tree, options);
   ASSERT_TRUE(search.ok());
-  auto result = search->FindOptimalBestFirst();
+  auto result = BestFirstSearch(tree, *search);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.paths_completed, 1u)
       << "best-first stops at the first goal it pops";

@@ -21,7 +21,6 @@
 #include "alloc/baselines.h"
 #include "alloc/heuristics.h"
 #include "alloc/optimal.h"
-#include "alloc/topo_parallel.h"
 #include "alloc/topo_search.h"
 #include "broadcast/cost.h"
 #include "broadcast/schedule_builder.h"
@@ -88,14 +87,15 @@ TEST(DifferentialHarnessTest, RandomTreesOptimalVsHeuristicsVsFlat) {
 }
 
 TEST(DifferentialHarnessTest, SequentialDfsNodeConservation) {
-  // Counter-correctness invariant of the instrumented sequential DFS: every
-  // node is the root, or generated and then eliminated by exactly one of
-  // {subset-level pruning rule, bound cutoff}, or expanded:
-  //   nodes_expanded == 1 + nodes_generated - nodes_pruned - bound_cutoffs.
+  // Counter-correctness invariant of the instrumented DFS: every node is
+  // the root, or generated and then eliminated by exactly one of
+  // {subset-level pruning rule, bound cutoff, memo dominance skip}, or
+  // expanded:
+  //   nodes_expanded == 1 + nodes_generated - nodes_pruned - bound_cutoffs
+  //                     - dominance_skips.
   // (Properties 2/3 drop candidates before they become generated subsets, so
   // they appear in pruned_by_rule but in neither nodes_generated nor
-  // nodes_pruned.) The parallel engine over-generates across workers, so
-  // only the sequential engine promises equality.
+  // nodes_pruned.)
   for (uint64_t seed = 0; seed < 120; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 0x9E3779B9u + 1);
@@ -113,76 +113,24 @@ TEST(DifferentialHarnessTest, SequentialDfsNodeConservation) {
     auto result = search->FindOptimalDfs();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const SearchStats& stats = result->stats;
-    EXPECT_EQ(stats.nodes_expanded, 1 + stats.nodes_generated -
-                                        stats.nodes_pruned -
-                                        stats.bound_cutoffs);
+    EXPECT_EQ(stats.nodes_expanded,
+              1 + stats.nodes_generated - stats.nodes_pruned -
+                  stats.bound_cutoffs - stats.dominance_skips);
     EXPECT_GE(stats.paths_completed, 1u);
     EXPECT_GE(stats.incumbent_updates, 1u);
     // The subset-level per-rule tally must reconcile with nodes_pruned.
     EXPECT_EQ(stats.nodes_pruned, stats.pruned_by_rule.lemma3 +
                                       stats.pruned_by_rule.lemma4 +
                                       stats.pruned_by_rule.lemma5);
-
-    // The parallel engine can only over-count work, never under-count paths.
-    auto parallel = FindOptimalTopoParallel(*search, 4);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_GE(parallel->stats.nodes_expanded, 1u);
-    EXPECT_GE(parallel->stats.incumbent_updates, 1u);
-  }
-}
-
-TEST(DifferentialHarnessTest, ParallelSearchIsThreadCountInvariant) {
-  // The determinism contract of the parallel engine (exec/parallel_search.h):
-  // for every thread count the returned allocation is BYTE-IDENTICAL to the
-  // single-threaded branch-and-bound — same slot sequence, exactly the same
-  // ADW double — and passes the verifier. Same seed formula as the main
-  // random-tree sweep so the two harnesses cover the same instances.
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(seed * 0x9E3779B9u + 1);
-    const int num_data = 3 + static_cast<int>(seed % 6);
-    const int max_fanout = 2 + static_cast<int>(seed % 3);
-    IndexTree tree = MakeRandomTree(&rng, num_data, max_fanout);
-    const int k = 1 + static_cast<int>(seed % 3);
-
-    TopoTreeSearch::Options options;
-    options.num_channels = k;
-    options.prune_candidates = true;
-    options.prune_local_swap = true;
-    auto search = TopoTreeSearch::Create(tree, options);
-    ASSERT_TRUE(search.ok()) << search.status().ToString();
-    auto sequential = search->FindOptimalDfs();
-    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      auto parallel = FindOptimalTopoParallel(*search, threads);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(parallel->slots, sequential->slots);
-      EXPECT_EQ(parallel->average_data_wait, sequential->average_data_wait);
-      CheckResult(tree, k, *parallel, "parallel");
-    }
-
-    // The public facade takes the same route.
-    OptimalOptions facade;
-    facade.num_threads = 8;
-    auto via_facade = FindOptimalAllocation(tree, k, facade);
-    ASSERT_TRUE(via_facade.ok()) << via_facade.status().ToString();
-    CheckResult(tree, k, *via_facade, "facade");
-    auto via_facade_st = FindOptimalAllocation(tree, k, OptimalOptions{});
-    ASSERT_TRUE(via_facade_st.ok()) << via_facade_st.status().ToString();
-    EXPECT_EQ(via_facade->slots, via_facade_st->slots);
-    EXPECT_EQ(via_facade->average_data_wait,
-              via_facade_st->average_data_wait);
   }
 }
 
 TEST(DifferentialHarnessTest, IncumbentSeedingIsAPureUpperBound) {
-  // The seeding contract (alloc/topo_search.h, exec/parallel_search.h): a
-  // feasible-cost seed may only shrink the searched tree, never change the
-  // answer. Seeded and unseeded runs must return BYTE-IDENTICAL slots/ADW on
-  // every engine and thread count, and the seeded sequential DFS never
-  // expands more nodes than the unseeded one. Same seed formula as the other
+  // The seeding contract (alloc/topo_search.h): a feasible-cost seed may
+  // only shrink the searched tree, never change the answer. Seeded and
+  // unseeded runs must return BYTE-IDENTICAL slots/ADW, through the search
+  // and through the facade, and the seeded DFS never expands more nodes
+  // than the unseeded one. Same seed formula as the other
   // sweeps so all harnesses cover the same instances.
   for (uint64_t seed = 0; seed < 60; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -223,31 +171,68 @@ TEST(DifferentialHarnessTest, IncumbentSeedingIsAPureUpperBound) {
     EXPECT_EQ(tight->slots, unseeded->slots);
     EXPECT_EQ(tight->average_data_wait, unseeded->average_data_wait);
 
+    // Facade: every SeedIncumbent mode returns the same bytes.
+    for (auto mode : {OptimalOptions::SeedIncumbent::kNone,
+                      OptimalOptions::SeedIncumbent::kHeuristic,
+                      OptimalOptions::SeedIncumbent::kPrevious}) {
+      OptimalOptions facade;
+      facade.seed_incumbent = mode;
+      if (mode == OptimalOptions::SeedIncumbent::kPrevious) {
+        // Warm-start with the previous "cycle's" allocation — here the
+        // optimum itself, the hardest case for the strict cutoff.
+        facade.warm_start_adw = unseeded->average_data_wait;
+      }
+      auto result = FindOptimalAllocation(tree, k, facade);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (k >= tree.max_level_width() || k == 1) continue;  // fast paths
+      EXPECT_EQ(result->slots, unseeded->slots);
+      EXPECT_EQ(result->average_data_wait, unseeded->average_data_wait);
+    }
+  }
+}
+
+TEST(DifferentialHarnessTest, ParallelSearchIsThreadCountInvariant) {
+  // The determinism contract of the exact search: whatever num_threads a
+  // caller asks for (the option is accepted and ignored, the search runs
+  // sequentially), the returned allocation is BYTE-IDENTICAL to the
+  // canonical DFS — same slot sequence, exactly the same ADW double — and
+  // passes the verifier. A second call on the same search object, which
+  // recycles its memo by epoch, must return the same bytes too. Same seed
+  // formula as the main random-tree sweep so the harnesses cover the same
+  // instances.
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 0x9E3779B9u + 1);
+    const int num_data = 3 + static_cast<int>(seed % 6);
+    const int max_fanout = 2 + static_cast<int>(seed % 3);
+    IndexTree tree = MakeRandomTree(&rng, num_data, max_fanout);
+    const int k = 1 + static_cast<int>(seed % 3);
+
+    TopoTreeSearch::Options options;
+    options.num_channels = k;
+    options.prune_candidates = true;
+    options.prune_local_swap = true;
+    auto search = TopoTreeSearch::Create(tree, options);
+    ASSERT_TRUE(search.ok()) << search.status().ToString();
+    auto sequential = search->FindOptimalDfs();
+    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+    auto again = search->FindOptimalDfs();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->slots, sequential->slots);
+    EXPECT_EQ(again->average_data_wait, sequential->average_data_wait);
+    EXPECT_EQ(again->stats.nodes_expanded, sequential->stats.nodes_expanded);
+
     for (int threads : {1, 2, 8}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
-      auto parallel = FindOptimalTopoParallel(*search, threads, seed_v);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(parallel->slots, unseeded->slots);
-      EXPECT_EQ(parallel->average_data_wait, unseeded->average_data_wait);
-
-      // Facade: every SeedIncumbent mode returns the same bytes.
-      for (auto mode : {OptimalOptions::SeedIncumbent::kNone,
-                        OptimalOptions::SeedIncumbent::kHeuristic,
-                        OptimalOptions::SeedIncumbent::kPrevious}) {
-        OptimalOptions facade;
-        facade.num_threads = threads;
-        facade.seed_incumbent = mode;
-        if (mode == OptimalOptions::SeedIncumbent::kPrevious) {
-          // Warm-start with the previous "cycle's" allocation — here the
-          // optimum itself, the hardest case for the strict cutoff.
-          facade.warm_start_adw = unseeded->average_data_wait;
-        }
-        auto result = FindOptimalAllocation(tree, k, facade);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        if (k >= tree.max_level_width() || k == 1) continue;  // fast paths
-        EXPECT_EQ(result->slots, unseeded->slots);
-        EXPECT_EQ(result->average_data_wait, unseeded->average_data_wait);
-      }
+      OptimalOptions facade;
+      facade.num_threads = threads;
+      facade.seed_incumbent = OptimalOptions::SeedIncumbent::kNone;
+      auto result = FindOptimalAllocation(tree, k, facade);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      CheckResult(tree, k, *result, "facade");
+      if (k >= tree.max_level_width() || k == 1) continue;  // fast paths
+      EXPECT_EQ(result->slots, sequential->slots);
+      EXPECT_EQ(result->average_data_wait, sequential->average_data_wait);
     }
   }
 }

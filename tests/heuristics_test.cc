@@ -21,6 +21,16 @@ TEST(SortIndexTreeTest, ReproducesPaperFig13) {
   EXPECT_EQ(FormatTree(sorted), "(1 (2 A:20 B:10) (3 E:18 (4 C:15 D:7)))");
 }
 
+TEST(SortIndexTreeTest, CopiesAnApiBuiltChainDeeperThanTheParserCap) {
+  // The sorted copy walks the tree with an explicit stack: a 100,000-level
+  // chain built through the IndexTree API must not recurse once per level.
+  IndexTree chain = MakeChainTree(100'000, 1.0);
+  IndexTree sorted = SortIndexTree(chain);
+  EXPECT_EQ(sorted.num_nodes(), chain.num_nodes());
+  EXPECT_EQ(sorted.depth(), chain.depth());
+  EXPECT_EQ(FormatTree(sorted), FormatTree(chain));  // nothing to reorder
+}
+
 TEST(SortIndexTreeTest, PreservesNodeCountAndWeights) {
   Rng rng(11);
   for (int rep = 0; rep < 10; ++rep) {

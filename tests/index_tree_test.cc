@@ -197,6 +197,17 @@ TEST(IndexTreeTest, ToStringShowsStructure) {
   EXPECT_NE(rendered.find("D (w=7)"), std::string::npos);
 }
 
+TEST(IndexTreeTest, ToStringStaysLinearOnADeepChain) {
+  // The deepest nesting ParseTree accepts. Two spaces of indent per level
+  // would make this 400 MB; past a fixed width the depth is printed instead.
+  IndexTree chain = MakeChainTree(20'000, 1.0);
+  std::string rendered = chain.ToString();
+  EXPECT_LT(rendered.size(), 128u * static_cast<size_t>(chain.num_nodes()));
+  EXPECT_EQ(rendered.substr(0, 13), "[index i1]\n  ");
+  EXPECT_NE(rendered.find("[depth 19999] [index i20000]\n"), std::string::npos);
+  EXPECT_NE(rendered.find("[depth 20000] d1 (w=1)\n"), std::string::npos);
+}
+
 TEST(IndexTreeTest, ChainTreeShape) {
   IndexTree chain = MakeChainTree(5, 42.0);
   EXPECT_EQ(chain.num_nodes(), 6);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "alloc/optimal.h"
 #include "tree/builders.h"
+#include "tree/tree_io.h"
 #include "util/rng.h"
 
 namespace bcast {
@@ -107,6 +111,73 @@ TEST(PlannerTest, SingleDataNodeTree) {
   auto plan = PlanBroadcast(tree, options);
   ASSERT_TRUE(plan.ok());
   EXPECT_NEAR(plan->costs.average_data_wait, 1.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// PlanMany
+// ---------------------------------------------------------------------------
+
+// The paper's Fig. 1 tree.
+constexpr char kPlanManyTree[] = "(1 (2 A:20 B:10) (3 (4 C:15 D:7) E:18))";
+
+TEST(PlanManyTest, MatchesPlanBroadcastPerRequest) {
+  auto tree_a = ParseTree(kPlanManyTree);
+  auto tree_b = ParseTree("(1 A:5 (2 B:9 C:3) D:1)");
+  auto tree_c = ParseTree("(1 (2 A:4 B:4) (3 C:4 D:4))");
+  ASSERT_TRUE(tree_a.ok() && tree_b.ok() && tree_c.ok());
+
+  std::vector<PlanRequest> requests;
+  PlannerOptions options;
+  options.num_channels = 2;
+  options.strategy = PlanStrategy::kOptimal;
+  requests.push_back({&*tree_a, options});
+  options.num_channels = 1;
+  requests.push_back({&*tree_b, options});
+  options.strategy = PlanStrategy::kSorting;
+  requests.push_back({&*tree_c, options});
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<Result<BroadcastPlan>> plans = PlanMany(requests, threads);
+    ASSERT_EQ(plans.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      auto expected =
+          PlanBroadcast(*requests[i].tree, requests[i].options);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_TRUE(plans[i].ok()) << plans[i].status().ToString();
+      EXPECT_EQ(plans[i]->strategy_used, expected->strategy_used);
+      EXPECT_EQ(plans[i]->allocation.slots, expected->allocation.slots);
+      EXPECT_EQ(plans[i]->costs.average_data_wait,
+                expected->costs.average_data_wait);
+    }
+  }
+}
+
+TEST(PlanManyTest, PerRequestErrorsStayInTheirSlot) {
+  auto tree = ParseTree(kPlanManyTree);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  PlannerOptions good;
+  good.num_channels = 2;
+  PlannerOptions bad;
+  bad.num_channels = 0;  // rejected by PlanBroadcast
+
+  std::vector<PlanRequest> requests;
+  requests.push_back({&*tree, good});
+  requests.push_back({nullptr, good});
+  requests.push_back({&*tree, bad});
+
+  std::vector<Result<BroadcastPlan>> plans = PlanMany(requests, 2);
+  ASSERT_EQ(plans.size(), 3u);
+  EXPECT_TRUE(plans[0].ok()) << plans[0].status().ToString();
+  ASSERT_FALSE(plans[1].ok());
+  EXPECT_EQ(plans[1].status().code(), StatusCode::kInvalidArgument);
+  ASSERT_FALSE(plans[2].ok());
+  EXPECT_EQ(plans[2].status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlanManyTest, EmptyBatchIsANoOp) {
+  EXPECT_TRUE(PlanMany({}, 4).empty());
 }
 
 }  // namespace

@@ -118,9 +118,18 @@ std::map<std::string, uint64_t> PruningCounters(
 
 TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
   // Acceptance criterion: the published pruning.* counters are a pure
-  // function of (tree, options) — running the optimizer with 1 or 8 threads
-  // must produce byte-identical breakdowns, even though the live search.*
-  // telemetry legitimately varies run to run.
+  // function of (tree, options) — repeated runs at 1 and 8 threads (a
+  // thread count the sequential exact search accepts and ignores), and an
+  // unseeded run against a heuristic-seeded one, must publish byte-identical
+  // breakdowns, even though the live search.* counters of the seeded and
+  // unseeded optimizer differ.
+  struct Run {
+    int threads;
+    OptimalOptions::SeedIncumbent seeding;
+  };
+  const Run runs[] = {{1, OptimalOptions::SeedIncumbent::kNone},
+                      {8, OptimalOptions::SeedIncumbent::kNone},
+                      {1, OptimalOptions::SeedIncumbent::kHeuristic}};
   for (uint64_t seed = 0; seed < 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 0x9E3779B9u + 1);
@@ -131,11 +140,12 @@ TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
     if (k >= tree.max_level_width()) continue;
 
     std::map<std::string, uint64_t> reference;
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
+    for (const Run& run : runs) {
+      SCOPED_TRACE("threads " + std::to_string(run.threads));
       obs::Registry registry;
       OptimalOptions options;
-      options.num_threads = threads;
+      options.num_threads = run.threads;
+      options.seed_incumbent = run.seeding;
       {
         obs::ScopedObservability scope(&registry, nullptr);
         auto result = FindOptimalAllocation(tree, k, options);
@@ -145,7 +155,7 @@ TEST(PruningCountersTest, BreakdownIsIdenticalAcrossThreadCounts) {
           PruningCounters(registry.Snapshot());
       ASSERT_FALSE(pruning.empty());
       EXPECT_EQ(pruning.count("pruning.breakdown_truncated"), 0u);
-      if (threads == 1) {
+      if (reference.empty()) {
         reference = pruning;
       } else {
         EXPECT_EQ(pruning, reference);
@@ -161,9 +171,7 @@ TEST(PruningCountersTest, PaperExampleBreakdownThroughTheFacade) {
   obs::Registry registry;
   {
     obs::ScopedObservability scope(&registry, nullptr);
-    OptimalOptions options;
-    options.num_threads = 8;
-    auto result = FindOptimalAllocation(tree, 2, options);
+    auto result = FindOptimalAllocation(tree, 2, OptimalOptions{});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   obs::MetricsSnapshot snapshot = registry.Snapshot();

@@ -115,6 +115,18 @@ TEST(TreeIoTest, RejectsNestingPastTheCapWithAStatus) {
   }
 }
 
+TEST(TreeIoTest, FormatsAnApiBuiltChainDeeperThanTheParserCap) {
+  // The parser caps nesting, but the IndexTree API does not: formatting a
+  // 100,000-level chain (what `plan --save` writes) must not recurse once
+  // per level.
+  constexpr int kLevels = 100'000;
+  IndexTree chain = MakeChainTree(kLevels, 2.5);
+  std::string expected;
+  for (int i = 1; i <= kLevels; ++i) expected += "(i" + std::to_string(i) + " ";
+  expected += "d1:2.5" + std::string(kLevels, ')');
+  EXPECT_EQ(FormatTree(chain), expected);
+}
+
 TEST(TreeIoTest, RejectsZeroAndOverflowingTotalWeights) {
   auto zero = ParseTree("(1 A:0 B:0)");
   ASSERT_FALSE(zero.ok());

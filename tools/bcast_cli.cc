@@ -18,7 +18,6 @@
 #include <cstdio>
 
 #include "core/bcast.h"
-#include "exec/thread_pool.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
@@ -34,14 +33,14 @@ constexpr char kUsage[] =
     "usage:\n"
     "  bcastctl plan --tree <s-expr>|--tree-file <path> [--channels k]\n"
     "                [--strategy auto|optimal|sorting|shrinking|level|\n"
-    "                 preorder|greedy-weight] [--threads N] [--simulate N]\n"
+    "                 preorder|greedy-weight] [--simulate N]\n"
     "                [--bound paper-next-slot|packed]\n"
     "                [--seed-incumbent none|heuristic|previous]\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade off|anytime|heuristic]\n"
     "                [--save <path>]\n"
     "  bcastctl simulate --tree <s-expr>|--tree-file <path>|--program <path>\n"
-    "                [--channels k] [--strategy ...] [--threads N]\n"
+    "                [--channels k] [--strategy ...]\n"
     "                [--bound ...] [--seed-incumbent ...]\n"
     "                [--plan-budget-expansions B | --plan-deadline-ms D]\n"
     "                [--degrade ...]\n"
@@ -200,9 +199,10 @@ Result<IndexTree> LoadTree(const FlagMap& flags) {
   return ParseTree(text);
 }
 
-// --threads: worker threads for the exact search. The CLI requires an
-// explicit positive count (no 0-means-hardware shorthand: a script that says
-// 0 almost certainly meant to disable parallelism, not max it out).
+// --threads of simulate --cycles: worker threads of the replanning pool
+// (PlanMany). The CLI requires an explicit positive count (no
+// 0-means-hardware shorthand: a script that says 0 almost certainly meant to
+// disable parallelism, not max it out).
 Result<int> LoadThreads(const FlagMap& flags) {
   auto threads = flags.GetInt("threads", 1);
   if (!threads.ok()) return threads.status();
@@ -350,9 +350,6 @@ Status CmdPlan(const FlagMap& flags, std::ostringstream* os, bool* degraded) {
   auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
   if (!strategy.ok()) return strategy.status();
   options.strategy = *strategy;
-  auto threads = LoadThreads(flags);
-  if (!threads.ok()) return threads.status();
-  options.optimal.num_threads = *threads;
   BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
   BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
 
@@ -643,9 +640,6 @@ Status CmdSimulate(const FlagMap& flags, std::ostringstream* os,
     auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
     if (!strategy.ok()) return strategy.status();
     options.strategy = *strategy;
-    auto threads = LoadThreads(flags);
-    if (!threads.ok()) return threads.status();
-    options.optimal.num_threads = *threads;
     BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &options));
     options.replication.root_copies = *copies;
@@ -814,8 +808,6 @@ Status CmdPopSim(const FlagMap& flags, std::ostringstream* os, bool* degraded,
     auto strategy = ParseStrategy(flags.Get("strategy").value_or("auto"));
     if (!strategy.ok()) return strategy.status();
     plan_options.strategy = *strategy;
-    plan_options.optimal.num_threads =
-        *threads > 0 ? *threads : ThreadPool::HardwareConcurrency();
     BCAST_RETURN_IF_ERROR(LoadSearchTuning(flags, &plan_options.optimal));
     BCAST_RETURN_IF_ERROR(LoadPlanBudget(flags, &plan_options));
     plan_options.replication.root_copies = *copies;
@@ -1153,8 +1145,10 @@ Status CmdInfo(const FlagMap& flags, std::ostringstream* os) {
 
 // The flags each subcommand reads; std::nullopt for an unknown command.
 // Anything else given is a usage error, so a misspelled or removed flag
-// fails loudly instead of being ignored.
-std::optional<std::set<std::string>> KnownFlags(const std::string& command) {
+// fails loudly instead of being ignored. --threads is read only where it
+// sizes a pool: simulate --cycles (PlanMany) and popsim (shard workers).
+std::optional<std::set<std::string>> KnownFlags(const std::string& command,
+                                                const FlagMap& flags) {
   std::set<std::string> known = {"metrics-out", "trace-out", "telemetry-out",
                                  "slo"};
   auto add = [&known](std::initializer_list<const char*> names,
@@ -1163,7 +1157,7 @@ std::optional<std::set<std::string>> KnownFlags(const std::string& command) {
   };
   const std::initializer_list<const char*> tree = {"tree", "tree-file"};
   const std::initializer_list<const char*> planner = {
-      "channels", "strategy", "threads", "bound", "seed-incumbent",
+      "channels", "strategy", "bound", "seed-incumbent",
       "plan-budget-expansions", "plan-deadline-ms", "degrade"};
   const std::initializer_list<const char*> client = {
       "program", "seed", "replicate-copies", "replicate-levels", "retries",
@@ -1182,14 +1176,16 @@ std::optional<std::set<std::string>> KnownFlags(const std::string& command) {
     add(loss);
     add({"queries", "cycles", "items", "queries-per-cycle", "replan-every",
          "estimator-decay", "drift-every"});
+    if (flags.Get("cycles").has_value()) add({"threads"});
   } else if (command == "popsim") {
     add(tree);
     add(planner);
     add(client);
     add(loss);
     add(loss, "degraded-");
-    add({"shards", "clients", "interest", "zipf-theta", "horizon-cycles",
-         "doze-fraction", "doze-max-cycles", "degraded-fraction"});
+    add({"threads", "shards", "clients", "interest", "zipf-theta",
+         "horizon-cycles", "doze-fraction", "doze-max-cycles",
+         "degraded-fraction"});
   } else if (command == "top") {
     add({"replay", "window"});
   } else if (command == "eval") {
@@ -1219,7 +1215,7 @@ int RunCli(const std::vector<std::string>& args, std::string* out) {
     *out = flags.status().ToString() + "\n" + kUsage;
     return 2;
   }
-  if (auto known = KnownFlags(args[0]); known.has_value()) {
+  if (auto known = KnownFlags(args[0], *flags); known.has_value()) {
     Status unknown = flags->CheckKnown(*known);
     if (!unknown.ok()) {
       *out = unknown.ToString() + "\n" + kUsage;
