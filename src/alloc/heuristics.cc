@@ -1,7 +1,9 @@
 #include "alloc/heuristics.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <optional>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,32 +81,30 @@ SlotSequence PackLinearOrder(const IndexTree& tree, int num_channels,
                              const std::vector<NodeId>& order) {
   BCAST_CHECK_GE(num_channels, 1);
   BCAST_CHECK_EQ(order.size(), static_cast<size_t>(tree.num_nodes()));
-  std::vector<int> placed_slot(static_cast<size_t>(tree.num_nodes()), -1);
-  std::deque<NodeId> remaining(order.begin(), order.end());
+  // Each slot takes the (up to) num_channels earliest-in-order nodes whose
+  // parent sits in a strictly earlier slot. Those nodes wait in a min-heap of
+  // order positions; a slot's nodes release their children for the next
+  // slot, so each node is pushed and popped once.
+  std::vector<int> position(static_cast<size_t>(tree.num_nodes()), -1);
+  for (size_t i = 0; i < order.size(); ++i) {
+    int& pos = position[static_cast<size_t>(order[i])];
+    BCAST_CHECK_EQ(pos, -1) << "linear order repeats node " << order[i];
+    pos = static_cast<int>(i);
+  }
+  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
+  ready.push(position[static_cast<size_t>(tree.root())]);
   SlotSequence slots;
-  while (!remaining.empty()) {
-    int slot = static_cast<int>(slots.size());
+  while (!ready.empty()) {
     std::vector<NodeId> current;
-    std::deque<NodeId> deferred;
-    while (!remaining.empty() &&
-           current.size() < static_cast<size_t>(num_channels)) {
-      NodeId node = remaining.front();
-      remaining.pop_front();
-      NodeId parent = tree.parent(node);
-      bool parent_ready =
-          parent == kInvalidNode ||
-          (placed_slot[static_cast<size_t>(parent)] >= 0 &&
-           placed_slot[static_cast<size_t>(parent)] < slot);
-      if (parent_ready) {
-        placed_slot[static_cast<size_t>(node)] = slot;
-        current.push_back(node);
-      } else {
-        deferred.push_back(node);
+    while (!ready.empty() && current.size() < static_cast<size_t>(num_channels)) {
+      current.push_back(order[static_cast<size_t>(ready.top())]);
+      ready.pop();
+    }
+    for (NodeId node : current) {
+      for (NodeId child : tree.children(node)) {
+        ready.push(position[static_cast<size_t>(child)]);
       }
     }
-    BCAST_CHECK(!current.empty()) << "linear order is not topological";
-    // Deferred nodes keep their relative order ahead of the untouched rest.
-    for (size_t i = deferred.size(); i-- > 0;) remaining.push_front(deferred[i]);
     slots.push_back(std::move(current));
   }
   return slots;
@@ -223,8 +223,9 @@ Result<AllocationResult> SortingHeuristic(const IndexTree& tree,
 namespace {
 
 // Mutable view of a (sub)tree during node combination. Indices are the ids of
-// the tree the view was created from; `expansion` maps a (pseudo) data node
-// back to the linear sequence of *original* ids it stands for.
+// the tree the view was created from. A combined node turns into a pseudo
+// data node that keeps its (now dead) children, reordered; the linear
+// sequence of *original* ids it stands for is its preorder (Expansion).
 struct WorkTree {
   struct WorkNode {
     bool alive = true;
@@ -232,8 +233,7 @@ struct WorkTree {
     double weight = 0.0;
     NodeId parent = kInvalidNode;
     std::vector<NodeId> children;
-    std::vector<NodeId> expansion;  // original ids; data nodes only
-    NodeId orig = kInvalidNode;     // original id of this node itself
+    NodeId orig = kInvalidNode;  // original id of this node itself
   };
   std::vector<WorkNode> nodes;
   int alive_count = 0;
@@ -250,57 +250,72 @@ WorkTree MakeWorkTree(const IndexTree& tree, const std::vector<NodeId>& to_orig)
     wn.parent = tree.parent(id);
     wn.children = tree.children(id);
     wn.orig = to_orig[static_cast<size_t>(id)];
-    if (wn.is_data) wn.expansion = {wn.orig};
   }
   return wt;
 }
 
+// The original ids a (pseudo) data node stands for: its preorder, children in
+// their stored order. Explicit stack, so a chain combined into one node is
+// safe at any depth.
+std::vector<NodeId> Expansion(const WorkTree& wt, NodeId id) {
+  std::vector<NodeId> order;
+  std::vector<NodeId> stack = {id};
+  while (!stack.empty()) {
+    const WorkTree::WorkNode& wn = wt.nodes[static_cast<size_t>(stack.back())];
+    stack.pop_back();
+    order.push_back(wn.orig);
+    stack.insert(stack.end(), wn.children.rbegin(), wn.children.rend());
+  }
+  return order;
+}
+
+// Sum of the children's weights if every child of index node `id` is
+// (pseudo) data — the node is combinable — else nullopt. Once combinable, a
+// node's children never change until it is combined itself, so neither does
+// its sum.
+std::optional<double> CombinableWeight(const WorkTree& wt, NodeId id) {
+  double sum = 0.0;
+  for (NodeId c : wt.nodes[static_cast<size_t>(id)].children) {
+    const WorkTree::WorkNode& cn = wt.nodes[static_cast<size_t>(c)];
+    if (!cn.is_data) return std::nullopt;
+    sum += cn.weight;
+  }
+  return sum;
+}
+
 // Combines index nodes whose children are all data (lightest combined weight
-// first) until at most `target` nodes remain. Always reaches the target:
-// in the limit the whole tree collapses into one pseudo data node.
+// first, lowest id on ties) until at most `target` nodes remain. Always
+// reaches the target: in the limit the whole tree collapses into one pseudo
+// data node. A min-heap holds the combinable nodes; a node joins it when its
+// last index child is combined, so each step costs O(log N).
 void CombineUntil(WorkTree* wt, int target) {
+  using Candidate = std::pair<double, NodeId>;  // (children's weight, id)
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
+  for (NodeId id = 0; id < static_cast<NodeId>(wt->nodes.size()); ++id) {
+    if (wt->nodes[static_cast<size_t>(id)].is_data) continue;
+    if (auto sum = CombinableWeight(*wt, id)) heap.emplace(*sum, id);
+  }
   while (wt->alive_count > target) {
-    int best = -1;
-    double best_weight = 0.0;
-    for (size_t id = 0; id < wt->nodes.size(); ++id) {
-      const WorkTree::WorkNode& wn = wt->nodes[id];
-      if (!wn.alive || wn.is_data) continue;
-      double sum = 0.0;
-      bool all_data = true;
-      for (NodeId c : wn.children) {
-        const WorkTree::WorkNode& cn = wt->nodes[static_cast<size_t>(c)];
-        if (!cn.is_data) {
-          all_data = false;
-          break;
-        }
-        sum += cn.weight;
-      }
-      if (!all_data) continue;
-      if (best == -1 || sum < best_weight) {
-        best = static_cast<int>(id);
-        best_weight = sum;
-      }
-    }
-    BCAST_CHECK_NE(best, -1) << "no combinable index node found";
+    BCAST_CHECK(!heap.empty()) << "no combinable index node found";
+    const auto [weight, best] = heap.top();
+    heap.pop();
     WorkTree::WorkNode& wn = wt->nodes[static_cast<size_t>(best)];
     // Restore order inside the combined node: the index node itself, then its
     // data children by descending weight.
-    std::vector<NodeId> kids = wn.children;
-    std::stable_sort(kids.begin(), kids.end(), [&](NodeId a, NodeId b) {
-      return wt->nodes[static_cast<size_t>(a)].weight >
-             wt->nodes[static_cast<size_t>(b)].weight;
-    });
-    std::vector<NodeId> expansion = {wn.orig};
-    for (NodeId c : kids) {
-      WorkTree::WorkNode& cn = wt->nodes[static_cast<size_t>(c)];
-      expansion.insert(expansion.end(), cn.expansion.begin(), cn.expansion.end());
-      cn.alive = false;
-      --wt->alive_count;
-    }
+    std::stable_sort(wn.children.begin(), wn.children.end(),
+                     [&](NodeId a, NodeId b) {
+                       return wt->nodes[static_cast<size_t>(a)].weight >
+                              wt->nodes[static_cast<size_t>(b)].weight;
+                     });
+    for (NodeId c : wn.children) wt->nodes[static_cast<size_t>(c)].alive = false;
+    wt->alive_count -= static_cast<int>(wn.children.size());
     wn.is_data = true;
-    wn.weight = best_weight;
-    wn.children.clear();
-    wn.expansion = std::move(expansion);
+    wn.weight = weight;
+    if (wn.parent != kInvalidNode) {
+      if (auto sum = CombinableWeight(*wt, wn.parent)) {
+        heap.emplace(*sum, wn.parent);
+      }
+    }
   }
 }
 
@@ -313,7 +328,7 @@ void EmitWorkTree(const WorkTree& wt, int work_id, IndexTree* tree,
   BCAST_CHECK(wn.alive);
   if (wn.is_data) {
     tree->AddDataNode(parent, wn.weight, "p" + std::to_string(work_id));
-    expansions->push_back(wn.expansion);
+    expansions->push_back(Expansion(wt, work_id));
     return;
   }
   tree->AddIndexNode(parent, "i" + std::to_string(work_id));

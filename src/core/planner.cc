@@ -1,12 +1,12 @@
 #include "core/planner.h"
 
-#include <utility>
-
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "alloc/baselines.h"
 #include "broadcast/schedule_builder.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 #include "verify/verifier.h"
 
@@ -193,50 +193,37 @@ Result<BroadcastPlan> PlanBroadcast(const IndexTree& tree,
 
 std::vector<Result<BroadcastPlan>> PlanMany(
     const std::vector<PlanRequest>& requests, int num_threads,
-    ThreadPool::TaskHook task_hook) {
-  // Prefilled so a request whose pool task never completes — a throwing
-  // task-hook (fault injection) skips the body, and the null-tree case below
-  // short-circuits — holds a Status, not an uninitialized slot. Slots still
-  // carrying this sentinel after Wait() are rewritten with the group's
-  // error below.
-  std::vector<Result<BroadcastPlan>> results(
-      requests.size(),
-      Result<BroadcastPlan>(InternalError("PlanMany slot not filled")));
-  auto plan_one = [&](size_t i) {
+    const TaskHook& task_hook) {
+  auto plan_one = [&requests](size_t i) -> Result<BroadcastPlan> {
     const PlanRequest& request = requests[i];
     if (request.tree == nullptr) {
-      results[i] = InvalidArgumentError("PlanRequest::tree is null");
-      return;
+      return InvalidArgumentError("PlanRequest::tree is null");
     }
-    results[i] = PlanBroadcast(*request.tree, request.options);
+    return PlanBroadcast(*request.tree, request.options);
   };
+  std::vector<Result<BroadcastPlan>> results;
+  results.reserve(requests.size());
 
-  if (num_threads == 0) num_threads = ThreadPool::HardwareConcurrency();
+  if (num_threads == 0) num_threads = HardwareConcurrency();
   if (num_threads <= 1 || requests.size() <= 1) {
-    for (size_t i = 0; i < requests.size(); ++i) plan_one(i);
+    for (size_t i = 0; i < requests.size(); ++i) results.push_back(plan_one(i));
     return results;
   }
 
   obs::ScopedSpan span("plan_many");
-  ThreadPool pool(num_threads, std::move(task_hook));
-  TaskGroup group(&pool);
   // Join-synchronized, deliberately unannotated (util/thread_annotations.h
-  // conventions): each task writes only its own slot and the vector is not
-  // resized while tasks run, so the only happens-before edge needed is
-  // TaskGroup::Wait() — a BCAST_GUARDED_BY here would force a pointless lock.
+  // conventions): task i writes only planned[i], and the runner joins every
+  // thread before returning.
+  std::vector<std::optional<Result<BroadcastPlan>>> planned(requests.size());
+  std::vector<Status> statuses = ParallelFor(
+      num_threads, requests.size(), task_hook,
+      [&](size_t i) { planned[i] = plan_one(i); });
   for (size_t i = 0; i < requests.size(); ++i) {
-    group.Run([&plan_one, i] { plan_one(i); });
-  }
-  const Status pool_status = group.Wait();
-  if (!pool_status.ok()) {
-    // Some task bodies were skipped (hook threw, task threw). Their slots
-    // still hold the prefill sentinel; surface the group's first error there
-    // so callers see why that request has no plan.
-    for (auto& slot : results) {
-      if (!slot.ok() && slot.status().code() == StatusCode::kInternal &&
-          slot.status().message() == "PlanMany slot not filled") {
-        slot = pool_status;
-      }
+    // A task whose hook or body threw never planned: its Status says why.
+    if (statuses[i].ok()) {
+      results.push_back(std::move(*planned[i]));
+    } else {
+      results.push_back(std::move(statuses[i]));
     }
   }
   return results;

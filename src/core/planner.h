@@ -19,7 +19,7 @@
 #include "alloc/replication.h"
 #include "broadcast/cost.h"
 #include "broadcast/schedule.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "tree/index_tree.h"
 #include "util/status.h"
 
@@ -99,8 +99,8 @@ struct PlanRequest {
   PlannerOptions options;
 };
 
-/// Plans a batch of independent broadcast cycles concurrently on a
-/// work-stealing pool (exec/thread_pool.h), one task per request.
+/// Plans a batch of independent broadcast cycles concurrently with the
+/// fork-join runner (exec/parallel_for.h), one task per request.
 /// `num_threads`: 0 = hardware concurrency, 1 = plan sequentially on the
 /// calling thread. Result i is exactly what
 /// PlanBroadcast(*requests[i].tree, requests[i].options) would return —
@@ -108,15 +108,15 @@ struct PlanRequest {
 /// batch. Intended for replanning fleets of trees at once (see
 /// sim/server_sim.h's adaptive server).
 ///
-/// `task_hook`, when non-null, is installed as the pool's per-task hook
+/// `task_hook`, when non-null, runs before request i's task with index i
 /// (fault injection, tracing). A throwing hook or task does not crash or
-/// hang the batch: the pool converts it to a Status, and every slot whose
-/// task did not complete receives that Status instead of a plan. The hook is
-/// ignored on the sequential inline path (num_threads <= 1 or a single
-/// request) — there is no pool task to intercept.
+/// hang the batch: the runner converts it to a Status, and the slot of every
+/// task that did not complete receives its Status instead of a plan. The
+/// hook is ignored on the sequential inline path (num_threads <= 1 or a
+/// single request) — there is no runner task to intercept.
 std::vector<Result<BroadcastPlan>> PlanMany(
     const std::vector<PlanRequest>& requests, int num_threads = 0,
-    ThreadPool::TaskHook task_hook = nullptr);
+    const TaskHook& task_hook = nullptr);
 
 }  // namespace bcast
 

@@ -1,11 +1,12 @@
 // Fault injection for the planner's own execution substrate.
 //
 // fault_model.h chaos-tests the *medium* (lost buckets on the downlink);
-// this module chaos-tests the *planner*: a TaskFaultInjector hooks into the
-// ThreadPool's per-task hook and makes a configurable fraction of pool tasks
-// throw or stall, proving that task exceptions surface as Status through
-// TaskGroup::Wait() and that the adaptive server's degradation ladder keeps
-// serving verifier-clean plans when replans fail mid-flight.
+// this module chaos-tests the *planner*: a TaskFaultInjector runs as the
+// TaskHook of PlanMany's fork-join batch (exec/parallel_for.h) and makes a
+// configurable fraction of tasks throw or stall, proving that task
+// exceptions surface as per-request Status and that the adaptive server's
+// degradation ladder keeps serving verifier-clean plans when replans fail
+// mid-flight.
 //
 // Determinism: the fail/stall decision for task index i is a pure function of
 // (seed, i) — a stateless hash of the RngStream::kTaskFault substream key and
@@ -18,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 
 #include "util/status.h"
@@ -26,10 +26,10 @@
 namespace bcast {
 
 struct TaskFaultOptions {
-  /// Fraction of pool tasks that throw TaskFaultError. In [0, 1].
+  /// Fraction of tasks that throw TaskFaultError. In [0, 1].
   double fail_fraction = 0.0;
 
-  /// Fraction of pool tasks that stall for stall_ns before running. In
+  /// Fraction of tasks that stall for stall_ns before running. In
   /// [0, 1]; fail_fraction + stall_fraction must be <= 1.
   double stall_fraction = 0.0;
 
@@ -44,7 +44,7 @@ struct TaskFaultOptions {
 };
 
 /// The exception an injected task failure throws. Deliberately a
-/// std::runtime_error subclass: the ThreadPool must convert *arbitrary* task
+/// std::runtime_error subclass: the runner must convert *arbitrary* task
 /// exceptions to Status, not just a type it knows about.
 class TaskFaultError : public std::runtime_error {
  public:
@@ -52,7 +52,7 @@ class TaskFaultError : public std::runtime_error {
 };
 
 /// Deterministic task-level chaos. Thread-safe: OnTask is called concurrently
-/// from pool workers.
+/// from the runner's threads.
 class TaskFaultInjector {
  public:
   /// Validates fractions (each in [0,1], sum <= 1).
@@ -67,12 +67,6 @@ class TaskFaultInjector {
   /// stall_ns, or returns immediately. Pure in (seed, task_index) aside from
   /// the fault/stall counters.
   void OnTask(uint64_t task_index);
-
-  /// Adapter for ThreadPool's TaskHook slot. The injector must outlive the
-  /// pool.
-  std::function<void(uint64_t)> Hook() {
-    return [this](uint64_t task_index) { OnTask(task_index); };
-  }
 
   /// Tasks failed / stalled so far (for test accounting).
   uint64_t fault_count() const {

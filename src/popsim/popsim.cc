@@ -6,7 +6,7 @@
 #include <limits>
 #include <utility>
 
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/obs.h"
 #include "obs/stream.h"
 #include "popsim/replay_rng.h"
@@ -252,7 +252,7 @@ Result<PopReport> PopulationSimulator::Run(
 
   const uint64_t n = options.population.num_clients;
   const int threads = options.num_threads == 0
-                          ? ThreadPool::HardwareConcurrency()
+                          ? HardwareConcurrency()
                           : options.num_threads;
   uint64_t shards =
       options.num_shards > 0
@@ -270,7 +270,7 @@ Result<PopReport> PopulationSimulator::Run(
 
   // Contiguous, population-determined shard ranges. Each shard is a fully
   // independent mini-simulation, so with one thread they run inline and with
-  // many they are just pool tasks — same work, same per-client streams,
+  // many they are just runner tasks — same work, same per-client streams,
   // bitwise-identical outcomes either way.
   const uint64_t per_shard = n / shards;
   const uint64_t remainder = n % shards;
@@ -280,21 +280,17 @@ Result<PopReport> PopulationSimulator::Run(
     return std::pair<uint64_t, uint64_t>(begin, begin + size);
   };
 
+  auto run_shard = [&](size_t s) {
+    auto [begin, end] = shard_range(s);
+    RunShard(begin, end, options, *sampler, base, &fleet, &stats[s]);
+  };
   if (threads <= 1 || shards == 1) {
-    for (uint64_t s = 0; s < shards; ++s) {
-      auto [begin, end] = shard_range(s);
-      RunShard(begin, end, options, *sampler, base, &fleet, &stats[s]);
-    }
+    for (uint64_t s = 0; s < shards; ++s) run_shard(s);
   } else {
-    ThreadPool pool(threads);
-    TaskGroup group(&pool);
-    for (uint64_t s = 0; s < shards; ++s) {
-      group.Run([&, s] {
-        auto [begin, end] = shard_range(s);
-        RunShard(begin, end, options, *sampler, base, &fleet, &stats[s]);
-      });
+    for (const Status& status :
+         ParallelFor(threads, shards, nullptr, run_shard)) {
+      BCAST_RETURN_IF_ERROR(status);
     }
-    BCAST_RETURN_IF_ERROR(group.Wait());
   }
 
   // Deterministic aggregation: integer tallies sum in shard order; every

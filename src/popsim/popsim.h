@@ -10,7 +10,7 @@
 //
 // Scale-out and determinism contract:
 //   * The fleet is split into shards (contiguous client-id ranges) that run
-//     as tasks on the work-stealing exec::ThreadPool. Clients never interact
+//     as the tasks of one exec/parallel_for.h batch. Clients never interact
 //     — the broadcast medium is read-only and fault realizations are
 //     per-client — so shards need no synchronization at all.
 //   * Client c's randomness comes exclusively from the keyed substream
@@ -62,7 +62,7 @@ struct PopSimOptions {
   RecoveryOptions recovery;
   /// Run seed; client c draws from Substream(RngStream::kClient, c).
   uint64_t seed = 0xC11;
-  /// Worker threads; 0 = ThreadPool::HardwareConcurrency(). Never affects
+  /// Worker threads; 0 = HardwareConcurrency(). Never affects
   /// results, only wall clock.
   int num_threads = 1;
   /// Fleet shards; 0 = auto (a function of the population size only, so a

@@ -84,7 +84,7 @@ struct AdaptiveServerOptions {
   /// propagate the planning error.
   bool allow_stale = true;
   /// Chaos testing: injects deterministic failures/stalls into the planning
-  /// pool's tasks (fault/task_fault.h). Only pooled plans are exposed
+  /// batch's tasks (fault/task_fault.h). Only parallel plans are exposed
   /// (planner_threads >= 2 and a batch of >= 2 requests); a killed oracle
   /// task is retried inline so the report baseline survives.
   TaskFaultOptions task_faults;

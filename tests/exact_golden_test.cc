@@ -20,33 +20,13 @@
 #include <vector>
 
 #include "alloc/optimal.h"
+#include "slots_digest.h"
 #include "tree/builders.h"
 #include "util/rng.h"
 #include "workload/weights.h"
 
 namespace bcast {
 namespace {
-
-std::string SlotsText(const SlotSequence& slots) {
-  std::string out;
-  for (size_t s = 0; s < slots.size(); ++s) {
-    if (s > 0) out += '|';
-    for (size_t i = 0; i < slots[s].size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(slots[s][i]);
-    }
-  }
-  return out;
-}
-
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 struct HarnessPin {
   uint64_t adw_k2;

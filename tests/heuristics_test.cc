@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "alloc/optimal.h"
+#include "slots_digest.h"
 #include "tree/builders.h"
 #include "tree/tree_io.h"
 #include "util/rng.h"
@@ -194,6 +200,79 @@ TEST(ShrinkingHeuristicTest, CombinationReordersHeavyGroupsFirst) {
   double naive_cost =
       SlotSequenceDataWait(tree, PackLinearOrder(tree, 1, tree.PreorderSequence()));
   EXPECT_LT(shrunk->average_data_wait, naive_cost * 0.8);
+}
+
+// Node-combination goldens, recorded with the rescanning CombineUntil that
+// the heap of combinable nodes replaced. The heap picks the same node (the
+// lightest child-weight sum, the lowest id on ties), so every plan must stay
+// byte-identical. Each pin digests, in order, the ADW bit pattern and slot
+// text of ShrinkingHeuristic over
+//   * the differential harness's random trees (seeds 0..219 of its formula);
+//   * balanced trees with equal weights, where sums tie at every step;
+// at one exact_size_limit and channel count. `combined` counts the trees
+// over the limit, i.e. the ones that actually ran node combination.
+struct CombinationPin {
+  int limit;
+  int channels;
+  int combined;
+  uint64_t digest;
+};
+
+constexpr CombinationPin kCombinationPins[] = {
+    {6, 2, 162, 0x510724d9a894e8b8},
+    {6, 3, 162, 0xa5a3ff23ab0bf814},
+    {10, 2, 111, 0xaa410e78ee76f3e3},
+    {10, 3, 111, 0xd5f85582f039a109},
+};
+
+std::vector<IndexTree> CombinationPinTrees() {
+  std::vector<IndexTree> trees;
+  for (uint64_t seed = 0; seed < 220; ++seed) {
+    Rng rng(seed * 0x9E3779B9u + 1);
+    trees.push_back(MakeRandomTree(&rng, 3 + static_cast<int>(seed % 6),
+                                   2 + static_cast<int>(seed % 3)));
+  }
+  for (auto [fanout, depth] : {std::pair{2, 5}, std::pair{3, 4}, std::pair{4, 3}}) {
+    int leaves = 1;
+    for (int level = 1; level < depth; ++level) leaves *= fanout;
+    auto tree = MakeFullBalancedTree(fanout, depth,
+                                     std::vector<double>(leaves, 1.0));
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::move(tree).value());
+  }
+  return trees;
+}
+
+TEST(ShrinkingHeuristicTest, CombinationPlansMatchThePins) {
+  const std::vector<IndexTree> trees = CombinationPinTrees();
+  for (const CombinationPin& pin : kCombinationPins) {
+    SCOPED_TRACE("limit " + std::to_string(pin.limit) + " k " +
+                 std::to_string(pin.channels));
+    ShrinkOptions options;
+    options.exact_size_limit = pin.limit;
+    std::string text;
+    int combined = 0;
+    for (const IndexTree& tree : trees) {
+      if (tree.num_nodes() > pin.limit) ++combined;
+      auto result = ShrinkingHeuristic(tree, pin.channels, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      text += std::to_string(std::bit_cast<uint64_t>(result->average_data_wait));
+      text += ':' + SlotsText(result->slots) + '\n';
+    }
+    EXPECT_EQ(combined, pin.combined);
+    EXPECT_EQ(Fnv1a(text), pin.digest);
+  }
+}
+
+TEST(ShrinkingHeuristicTest, CombinesAnApiBuiltChainDeeperThanTheParserCap) {
+  // A chain combines one node per step from the bottom up, and every packed
+  // slot holds one node: both must cost O(log N) per step, not a rescan of
+  // the tree, for a 100,000-level chain to plan in well under a second.
+  IndexTree chain = MakeChainTree(100'000, 1.0);
+  auto result = ShrinkingHeuristic(chain, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->slots.size(), static_cast<size_t>(chain.num_nodes()));
+  EXPECT_EQ(result->average_data_wait, static_cast<double>(chain.num_nodes()));
 }
 
 TEST(ShrinkingHeuristicTest, RejectsBadLimits) {

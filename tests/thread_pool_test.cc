@@ -1,139 +1,66 @@
-#include "exec/thread_pool.h"
+// The fork-join runner (exec/parallel_for.h): each batch's threads form a
+// short-lived thread pool, reported under the pool.* metrics.
+
+#include "exec/parallel_for.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "exec/cancel.h"
 #include "obs/obs.h"
 
 namespace bcast {
 namespace {
 
+bool AllOk(const std::vector<Status>& statuses) {
+  return std::all_of(statuses.begin(), statuses.end(),
+                     [](const Status& s) { return s.ok(); });
+}
+
 TEST(ThreadPoolTest, HardwareConcurrencyIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareConcurrency(), 1);
+  EXPECT_GE(HardwareConcurrency(), 1);
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    // The destructor drains: every queued task runs before the join.
-  }
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, TasksSubmittedFromTasksAlsoDrain) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&pool, &counter] {
-        counter.fetch_add(1);
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      });
-    }
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WorkerIndexVisibleInsideTasksOnly) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.CurrentWorkerIndex(), -1);  // foreign (test) thread
-  std::atomic<bool> index_in_range{true};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 64; ++i) {
-    group.Run([&pool, &index_in_range] {
-      int index = pool.CurrentWorkerIndex();
-      if (index < 0 || index >= pool.num_threads()) index_in_range = false;
-    });
-  }
-  group.Wait();
-  EXPECT_TRUE(index_in_range.load());
-}
-
-TEST(ThreadPoolTest, TaskGroupWaitsForNestedRuns) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) {
-    group.Run([&group, &done] {
-      group.Run([&group, &done] {
-        group.Run([&done] { done.fetch_add(1); });
-        done.fetch_add(1);
-      });
-      done.fetch_add(1);
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(done.load(), 60);
+  // Every index runs exactly once; all threads are joined on return, so the
+  // plain vector needs no synchronization to be read here.
+  std::vector<int> runs(1000, 0);
+  std::vector<Status> statuses =
+      ParallelFor(4, runs.size(), nullptr, [&runs](size_t i) { ++runs[i]; });
+  ASSERT_EQ(statuses.size(), runs.size());
+  EXPECT_TRUE(AllOk(statuses));
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1),
+            static_cast<std::ptrdiff_t>(runs.size()));
 }
 
 TEST(ThreadPoolTest, SingleThreadedPoolMakesProgress) {
-  // One worker, tasks spawning tasks: nothing to steal from, so this only
-  // terminates if the owner drains its own deque correctly.
-  std::atomic<int> counter{0};
-  ThreadPool pool(1);
-  TaskGroup group(&pool);
-  group.Run([&] {
-    for (int i = 0; i < 100; ++i) {
-      group.Run([&counter] { counter.fetch_add(1); });
-    }
-  });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, IdleWorkersStealQueuedBacklog) {
-  // Pile a backlog onto one worker's deque (submitted from inside a task, so
-  // everything lands on that worker) while a second worker sits idle; the
-  // idle worker can finish the backlog only by stealing.
-  std::atomic<int> counter{0};
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  group.Run([&] {
-    for (int i = 0; i < 200; ++i) {
-      group.Run([&counter] {
-        counter.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      });
-    }
-  });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 200);
-  // Not asserting steal_count > 0: with one core the first worker can legally
-  // drain its own deque before the second ever wakes. The counter is still
-  // exercised for the common case.
-  (void)pool.steal_count();
+  // One thread spawns nothing: the caller runs every task itself, in order.
+  std::vector<size_t> order;
+  EXPECT_TRUE(AllOk(
+      ParallelFor(1, 100, nullptr, [&order](size_t i) { order.push_back(i); })));
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, FlushesStatsIntoInstalledRegistry) {
-  // A pool constructed under a live registry flushes its lifetime totals
-  // (per-worker, owner-thread tallies — no atomics on the task path) into
-  // pool.* at destruction, after the join.
+  // A batch run under a live registry flushes its per-thread tallies into
+  // pool.* after the join.
   obs::Registry registry;
   {
     obs::ScopedObservability scope(&registry, nullptr);
     std::atomic<int> counter{0};
-    {
-      ThreadPool pool(3);
-      for (int i = 0; i < 500; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    }
+    EXPECT_TRUE(AllOk(ParallelFor(3, 500, nullptr,
+                                  [&counter](size_t) { counter.fetch_add(1); })));
     EXPECT_EQ(counter.load(), 500);
   }
   obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.CounterOr("pool.tasks_run", 0), 500u);
+  EXPECT_EQ(snapshot.counters.count("pool.busy_ns"), 1u);
   auto find_histogram =
       [&snapshot](const std::string& name) -> const obs::HistogramSnapshot* {
     for (const obs::HistogramSnapshot& h : snapshot.histograms) {
@@ -141,16 +68,13 @@ TEST(ThreadPoolTest, FlushesStatsIntoInstalledRegistry) {
     }
     return nullptr;
   };
-  // One histogram sample per worker.
+  // One histogram sample per thread, the caller included.
   const obs::HistogramSnapshot* worker_tasks = find_histogram("pool.worker_tasks");
   ASSERT_NE(worker_tasks, nullptr);
   EXPECT_EQ(worker_tasks->count, 3u);
   EXPECT_EQ(worker_tasks->sum, 500u);
-  // Steal counters exist (values are scheduling-dependent).
-  EXPECT_EQ(snapshot.counters.count("pool.steals"), 1u);
-  EXPECT_EQ(snapshot.counters.count("pool.failed_steals"), 1u);
-  // Busy-time instrumentation was live (record_timing_ sampled at
-  // construction under the installed registry).
+  // Busy-time instrumentation was live (sampled at the start of the batch
+  // under the installed registry).
   const obs::HistogramSnapshot* worker_busy = find_histogram("pool.worker_busy_ns");
   ASSERT_NE(worker_busy, nullptr);
   EXPECT_EQ(worker_busy->count, 3u);
@@ -159,126 +83,84 @@ TEST(ThreadPoolTest, FlushesStatsIntoInstalledRegistry) {
 TEST(ThreadPoolTest, NoRegistryMeansNoFlushAndNoCrash) {
   ASSERT_EQ(obs::GlobalMetrics(), nullptr);
   std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }
+  EXPECT_TRUE(AllOk(
+      ParallelFor(2, 100, nullptr, [&counter](size_t) { counter.fetch_add(1); })));
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, FailedStealAccessorIsMonotonic) {
-  ThreadPool pool(4);
-  const uint64_t before = pool.failed_steal_count();
-  TaskGroup group(&pool);
-  for (int i = 0; i < 64; ++i) {
-    group.Run([] { std::this_thread::sleep_for(std::chrono::microseconds(10)); });
-  }
-  group.Wait();
-  EXPECT_GE(pool.failed_steal_count(), before);
-}
-
 TEST(ThreadPoolTest, TaskExceptionBecomesStatusFromWait) {
-  // A throwing group task must surface as a Status from Wait(), not
-  // std::terminate, and must not poison the group's other tasks.
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
+  // A throwing task must surface as its index's Status, not std::terminate,
+  // and must not poison the batch's other tasks.
   std::atomic<int> ran{0};
-  group.Run([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 16; ++i) {
-    group.Run([&ran] { ran.fetch_add(1); });
-  }
-  Status status = group.Wait();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_NE(status.ToString().find("boom"), std::string::npos);
+  std::vector<Status> statuses = ParallelFor(2, 17, nullptr, [&ran](size_t i) {
+    if (i == 5) throw std::runtime_error("boom");
+    ran.fetch_add(1);
+  });
+  EXPECT_EQ(statuses[5].code(), StatusCode::kInternal);
+  EXPECT_NE(statuses[5].ToString().find("boom"), std::string::npos);
+  statuses.erase(statuses.begin() + 5);
+  EXPECT_TRUE(AllOk(statuses));
   EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(ThreadPoolTest, NonStdExceptionAlsoBecomesStatus) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  group.Run([] { throw 42; });
-  Status status = group.Wait();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-}
-
-TEST(ThreadPoolTest, RawSubmitExceptionIsSwallowedAndCounted) {
-  // Raw Submit has no waiter to hand a Status to; the last-resort guard
-  // swallows the exception (counted) instead of taking the process down.
-  obs::Registry registry;
-  {
-    obs::ScopedObservability scope(&registry, nullptr);
-    std::atomic<int> counter{0};
-    {
-      ThreadPool pool(2);
-      pool.Submit([] { throw std::runtime_error("raw"); });
-      for (int i = 0; i < 10; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    }
-    EXPECT_EQ(counter.load(), 10);
-  }
-  obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_GE(snapshot.CounterOr("pool.task_exceptions", 0), 1u);
-}
-
-TEST(ThreadPoolTest, PreCancelledGroupSkipsTaskBodies) {
-  ThreadPool pool(2);
-  CancelToken cancel;
-  cancel.Cancel();
-  TaskGroup group(&pool, &cancel);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    group.Run([&ran] { ran.fetch_add(1); });
-  }
-  EXPECT_TRUE(group.Wait().ok());  // skipping is not an error
-  EXPECT_EQ(ran.load(), 0);
+  std::vector<Status> statuses = ParallelFor(2, 8, nullptr, [&ran](size_t i) {
+    if (i == 0) throw 42;
+    ran.fetch_add(1);
+  });
+  EXPECT_EQ(statuses[0].code(), StatusCode::kInternal);
+  EXPECT_EQ(ran.load(), 7);
 }
 
 TEST(ThreadPoolTest, TaskHookSeesEveryGroupTask) {
   std::atomic<int> hooked{0};
-  ThreadPool pool(2, [&hooked](uint64_t) { hooked.fetch_add(1); });
-  TaskGroup group(&pool);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    group.Run([&ran] { ran.fetch_add(1); });
-  }
-  EXPECT_TRUE(group.Wait().ok());
+  EXPECT_TRUE(AllOk(ParallelFor(
+      2, 32, [&hooked](uint64_t) { hooked.fetch_add(1); },
+      [&ran](size_t) { ran.fetch_add(1); })));
   EXPECT_EQ(hooked.load(), 32);
   EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ThreadPoolTest, ThrowingHookFailsTheGroupNotTheProcess) {
   // The fault-injection contract: a hook that throws skips the task body and
-  // lands in the waiter's Status, exactly like the task itself throwing.
-  ThreadPool pool(2, [](uint64_t) { throw std::runtime_error("hook fault"); });
-  TaskGroup group(&pool);
+  // fails that index, exactly like the task itself throwing.
   std::atomic<int> ran{0};
-  group.Run([&ran] { ran.fetch_add(1); });
-  Status status = group.Wait();
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(ran.load(), 0);
+  std::vector<Status> statuses = ParallelFor(
+      2, 4,
+      [](uint64_t index) {
+        if (index == 2) throw std::runtime_error("hook fault");
+      },
+      [&ran](size_t i) {
+        EXPECT_NE(i, 2u);
+        ran.fetch_add(1);
+      });
+  EXPECT_EQ(statuses[2].code(), StatusCode::kInternal);
+  EXPECT_TRUE(statuses[0].ok() && statuses[1].ok() && statuses[3].ok());
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ThreadPoolTest, GroupTaskIndicesAreSubmissionOrdered) {
-  // TaskGroup::Run draws the task index on the submitting thread, so a
-  // sequential submitter gets 0, 1, 2, ... regardless of execution order —
-  // the property deterministic fault injection relies on.
+  // The hook sees each index 0..n-1 exactly once, and the index it sees is
+  // the one the task body gets — the property deterministic fault injection
+  // relies on.
   std::vector<uint64_t> seen;
   std::mutex mu;
-  ThreadPool pool(4, [&](uint64_t index) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back(index);
-  });
-  TaskGroup group(&pool);
-  for (int i = 0; i < 100; ++i) {
-    group.Run([] {});
-  }
-  EXPECT_TRUE(group.Wait().ok());
+  std::atomic<bool> matched{true};
+  EXPECT_TRUE(AllOk(ParallelFor(
+      4, 100,
+      [&](uint64_t index) {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.push_back(index);
+      },
+      [&](size_t i) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (std::find(seen.begin(), seen.end(), i) == seen.end()) {
+          matched = false;
+        }
+      })));
+  EXPECT_TRUE(matched.load());
   std::sort(seen.begin(), seen.end());
   ASSERT_EQ(seen.size(), 100u);
   for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i);

@@ -348,7 +348,7 @@ class RawThreadRuleTest(LintTreeTestCase):
         self.assertEqual(findings[0].line, 2)
 
     def test_exec_is_exempt(self):
-        self.write("src/exec/thread_pool.cc",
+        self.write("src/exec/parallel_for.cc",
                    "#include <thread>\n"
                    "void f() { std::thread t([] {}); t.join(); }\n")
         self.assertEqual(self.lint(rules=("raw-thread",)), [])

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "alloc/allocation.h"
@@ -82,6 +85,29 @@ struct RandomCase {
   int max_fanout;
   int channels;
 };
+
+// ctest names each case after its printed parameter. gtest's fallback
+// printer dumps an object's raw bytes, padding included, and the four
+// padding bytes after `channels` hold arbitrary memory. This prints the same
+// "24-byte object <E8-03 ...>" dump with the padding zeroed, so the case
+// names stay as they are tracked and depend on the four fields alone.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(RandomCase)] = {};
+  std::memcpy(bytes + offsetof(RandomCase, seed), &c.seed, sizeof c.seed);
+  std::memcpy(bytes + offsetof(RandomCase, num_data), &c.num_data,
+              sizeof c.num_data);
+  std::memcpy(bytes + offsetof(RandomCase, max_fanout), &c.max_fanout,
+              sizeof c.max_fanout);
+  std::memcpy(bytes + offsetof(RandomCase, channels), &c.channels,
+              sizeof c.channels);
+  *os << sizeof bytes << "-byte object <";
+  for (size_t i = 0; i < sizeof bytes; ++i) {
+    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+    static constexpr char kHex[] = "0123456789ABCDEF";
+    *os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xF];
+  }
+  *os << '>';
+}
 
 class PrunedVsExhaustiveTest : public ::testing::TestWithParam<RandomCase> {};
 
